@@ -40,7 +40,9 @@ std::vector<uint8_t> RunKCore(
     typed.push_back(app.get());
     apps.push_back(std::move(app));
   }
-  RunPie(fragments, apps, mode);
+  PieOptions options;
+  options.mode = mode;
+  FLEX_CHECK(RunPieChecked(fragments, apps, options).ok());
   std::vector<uint8_t> merged(
       fragments.empty() ? 0 : fragments[0]->total_vertices(), 0);
   for (size_t i = 0; i < fragments.size(); ++i) {

@@ -71,7 +71,9 @@ std::vector<double> RunPageRank(
     typed.push_back(app.get());
     apps.push_back(std::move(app));
   }
-  RunPie(fragments, apps, mode);
+  PieOptions options;
+  options.mode = mode;
+  FLEX_CHECK(RunPieChecked(fragments, apps, options).ok());
   std::vector<double> merged(fragments.empty()
                                  ? 0
                                  : fragments[0]->total_vertices(),

@@ -138,7 +138,9 @@ std::vector<uint32_t> RunBfs(
     typed.push_back(app.get());
     apps.push_back(std::move(app));
   }
-  RunPie(fragments, apps, mode);
+  PieOptions options;
+  options.mode = mode;
+  FLEX_CHECK(RunPieChecked(fragments, apps, options).ok());
   return Merge<BfsApp, uint32_t>(
       fragments, typed, kUnreachedDepth,
       [](const BfsApp& app, vid_t v) { return app.depths()[v]; });
@@ -207,7 +209,9 @@ std::vector<double> RunSssp(
     typed.push_back(app.get());
     apps.push_back(std::move(app));
   }
-  RunPie(fragments, apps, mode);
+  PieOptions options;
+  options.mode = mode;
+  FLEX_CHECK(RunPieChecked(fragments, apps, options).ok());
   return Merge<SsspApp, double>(
       fragments, typed, kUnreachedDist,
       [](const SsspApp& app, vid_t v) { return app.distances()[v]; });
@@ -272,7 +276,9 @@ std::vector<uint32_t> RunWcc(
     typed.push_back(app.get());
     apps.push_back(std::move(app));
   }
-  RunPie(fragments, apps, mode);
+  PieOptions options;
+  options.mode = mode;
+  FLEX_CHECK(RunPieChecked(fragments, apps, options).ok());
   return Merge<WccApp, uint32_t>(
       fragments, typed, kInvalidVid,
       [](const WccApp& app, vid_t v) { return app.labels()[v]; });

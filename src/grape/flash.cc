@@ -192,11 +192,6 @@ Result<std::vector<uint8_t>> FlashEngine::KCoreChecked(
   return alive;
 }
 
-std::vector<uint8_t> FlashEngine::KCore(uint32_t k) {
-  // Infinite deadline, no token: the checked run cannot fail.
-  return KCoreChecked(k, FlashOptions{}).value();
-}
-
 Result<std::vector<uint32_t>> FlashEngine::LouvainCommunitiesChecked(
     int max_passes, const FlashOptions& options) {
   Status admit =
@@ -254,10 +249,6 @@ Result<std::vector<uint32_t>> FlashEngine::LouvainCommunitiesChecked(
     if (moved == 0) break;
   }
   return community;
-}
-
-std::vector<uint32_t> FlashEngine::LouvainCommunities(int max_passes) {
-  return LouvainCommunitiesChecked(max_passes, FlashOptions{}).value();
 }
 
 double FlashEngine::Modularity(const std::vector<uint32_t>& communities) const {

@@ -107,19 +107,12 @@ class FlashEngine {
   Result<std::vector<uint8_t>> KCoreChecked(uint32_t k,
                                             const FlashOptions& options);
 
-  /// Unchecked convenience wrapper: KCoreChecked with infinite options
-  /// (cannot fail).
-  std::vector<uint8_t> KCore(uint32_t k);
-
   /// Louvain-style community detection: repeated local-move passes that
   /// greedily maximize modularity gain until no vertex moves (single
   /// level, no coarsening). Returns a community id per vertex. Polls the
   /// runnable check once per pass.
   Result<std::vector<uint32_t>> LouvainCommunitiesChecked(
       int max_passes, const FlashOptions& options);
-
-  /// Unchecked convenience wrapper: infinite options (cannot fail).
-  std::vector<uint32_t> LouvainCommunities(int max_passes = 10);
 
   /// Modularity of `communities` over the undirected simple graph.
   double Modularity(const std::vector<uint32_t>& communities) const;

@@ -295,20 +295,6 @@ Result<int> RunPieChecked(
   return rounds.load(std::memory_order_relaxed);
 }
 
-/// Legacy entry point: no deadline, no cancellation, failures fatal.
-template <typename MSG>
-int RunPie(const std::vector<std::unique_ptr<Fragment>>& fragments,
-           const std::vector<std::unique_ptr<PieApp<MSG>>>& apps,
-           MessageMode mode = MessageMode::kAggregated,
-           int max_rounds = 1000000) {
-  PieOptions options;
-  options.mode = mode;
-  options.max_rounds = max_rounds;
-  Result<int> result = RunPieChecked(fragments, apps, options);
-  FLEX_CHECK(result.ok());
-  return result.value();
-}
-
 }  // namespace flex::grape
 
 #endif  // FLEX_GRAPE_PIE_H_

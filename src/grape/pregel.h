@@ -163,7 +163,10 @@ std::vector<VVAL> RunPregel(
     typed.push_back(adapter.get());
     apps.push_back(std::move(adapter));
   }
-  RunPie(fragments, apps, mode, max_supersteps);
+  PieOptions options;
+  options.mode = mode;
+  options.max_rounds = max_supersteps;
+  FLEX_CHECK(RunPieChecked(fragments, apps, options).ok());
   std::vector<VVAL> merged(
       fragments.empty() ? 0 : fragments[0]->total_vertices(), VVAL{});
   for (size_t i = 0; i < fragments.size(); ++i) {

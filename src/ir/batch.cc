@@ -295,14 +295,12 @@ std::vector<Row> BatchesToRows(const std::vector<Batch>& batches) {
   return rows;
 }
 
-std::vector<Batch> RowsToBatches(const std::vector<Row>& rows,
-                                 uint64_t first_order_key) {
+std::vector<Batch> RowsToBatches(const std::vector<Row>& rows) {
   std::vector<Batch> batches;
   batches.reserve((rows.size() + kBatchSize - 1) / kBatchSize);
   for (size_t start = 0; start < rows.size(); start += kBatchSize) {
     const size_t stop = std::min(rows.size(), start + kBatchSize);
     Batch batch;
-    batch.order_key = first_order_key + start;
     for (size_t i = start; i < stop; ++i) batch.AppendRow(rows[i]);
     batches.push_back(std::move(batch));
   }

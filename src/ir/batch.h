@@ -107,12 +107,6 @@ class Batch {
   /// Boxes physical row `i` back into the row representation.
   Row RowAt(size_t i) const;
 
-  /// Merge-order tag at the Gaia exchange: the global scan position of the
-  /// first physical row's source window. Sorting a worker-concatenated
-  /// batch list by this key restores global scan order, because each scan
-  /// window is claimed by exactly one worker.
-  uint64_t order_key = 0;
-
  private:
   std::vector<Column> columns_;
   std::vector<uint32_t> sel_;
@@ -122,10 +116,8 @@ class Batch {
 /// Boxes the selected rows of each batch, in batch-list order.
 std::vector<Row> BatchesToRows(const std::vector<Batch>& batches);
 
-/// Chunks rows into batches of kBatchSize with identity selections;
-/// batch i gets order_key = first_order_key + i * kBatchSize.
-std::vector<Batch> RowsToBatches(const std::vector<Row>& rows,
-                                 uint64_t first_order_key = 0);
+/// Chunks rows into batches of kBatchSize with identity selections.
+std::vector<Batch> RowsToBatches(const std::vector<Row>& rows);
 
 /// Total selected rows across `batches`.
 size_t TotalSelected(const std::vector<Batch>& batches);

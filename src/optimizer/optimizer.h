@@ -19,15 +19,6 @@ struct OptimizerOptions {
   /// and a PROJECT reading only the scan column folds into the fused scan.
   /// Requires a schema at Optimize time (silently skipped without one).
   bool fusion = true;
-
-  /// The pass set as a bit mask, for plan-cache keys (a cached plan is
-  /// only valid for the exact flag combination that produced it).
-  uint32_t FlagBits() const {
-    return (filter_push_into_match ? 1u << 0 : 0) |
-           (edge_vertex_fusion ? 1u << 1 : 0) | (index_scan ? 1u << 2 : 0) |
-           (limit_pushdown ? 1u << 3 : 0) | (cbo ? 1u << 4 : 0) |
-           (fusion ? 1u << 5 : 0);
-  }
 };
 
 /// Transforms the logical plan into an optimized physical plan:

@@ -152,9 +152,7 @@ void RefineSelection(const ir::Expr& predicate, const grin::GrinGraph& g,
 /// Output builder for the appending operators (EXPAND, EXPAND_EDGE, GETV):
 /// collects (source row, appended entry) pairs and flushes them as compact
 /// batches — source columns gathered column-wise, the new column appended,
-/// the operator predicate refining each flushed batch's selection. Output
-/// batches inherit the source batch's order_key; emission order breaks
-/// ties, so exchange ordering stays exact.
+/// the operator predicate refining each flushed batch's selection.
 class AppendBuilder {
  public:
   AppendBuilder(const Batch* src, const ir::Op* op, const grin::GrinGraph* g,
@@ -184,7 +182,6 @@ class AppendBuilder {
   void Flush() {
     if (gather_.empty()) return;
     Batch b;
-    b.order_key = src_->order_key;
     for (size_t c = 0; c < src_->num_columns(); ++c) {
       Column col;
       col.GatherFrom(src_->column(c), gather_);
@@ -207,7 +204,6 @@ class AppendBuilder {
       // the extended batch — the exact layout PROJECT would have seen —
       // and drop everything the expressions do not reference.
       Batch projected;
-      projected.order_key = b.order_key;
       std::vector<PropertyValue> vals;
       for (const auto& expr : op_->exprs) {
         Column col;
@@ -244,14 +240,8 @@ struct ScanState {
   const grin::GrinGraph* g = nullptr;
   const ExecOptions* opts = nullptr;
   std::vector<Batch>* out = nullptr;
-  bool windowed = false;
-  size_t total = 0;     ///< Scan positions across all scanned labels.
   size_t position = 0;  ///< Global scan position (label-major, like rows).
-  size_t cur_begin = 0;  ///< Current claimed morsel window; empty at start.
-  size_t cur_end = 0;
-  bool exhausted = false;  ///< Morsel source ran past `total`.
-  Column pending;          ///< Vids owned but not yet flushed.
-  uint64_t pending_first = 0;
+  Column pending;       ///< Vids in the window but not yet flushed.
   Status status;
 };
 
@@ -261,7 +251,6 @@ struct ScanState {
 bool FlushScanBatch(ScanState* s) {
   if (!s->pending.empty()) {
     Batch b;
-    b.order_key = s->pending_first;
     b.AddColumn(std::move(s->pending));
     s->pending = Column();
     b.SelectAll();
@@ -277,45 +266,22 @@ bool FlushScanBatch(ScanState* s) {
   return s->status.ok();
 }
 
-/// Per-vertex scan visitor. Ownership of a position: the claimed morsel
-/// windows when a ScanMorselSource is set, the static [scan_begin,
-/// scan_end) window when narrowed, else the legacy modulo shard. A batch
-/// never spans two morsel windows, so every batch covers one contiguous
-/// slice of the global scan order and order_key sorting at the exchange
-/// reconstructs it exactly.
+/// Per-vertex scan visitor: keeps the positions inside the
+/// [scan_begin, scan_end) window and stops at its end.
 bool ScanVisit(void* raw, vid_t v) {
   auto* s = static_cast<ScanState*>(raw);
   const size_t pos = s->position++;
-  bool owned;
-  if (s->opts->morsels != nullptr) {
-    while (pos >= s->cur_end) {
-      if (!FlushScanBatch(s)) return false;
-      s->cur_begin = s->opts->morsels->Claim();
-      s->cur_end = s->cur_begin + s->opts->morsels->grain;
-      if (s->cur_begin >= s->total) {
-        s->exhausted = true;  // Nothing left anywhere ahead of us.
-        return false;
-      }
-    }
-    owned = pos >= s->cur_begin;
-  } else if (s->windowed) {
-    if (pos >= s->opts->scan_end) return false;  // Past the window: stop.
-    owned = pos >= s->opts->scan_begin;
-  } else {
-    owned = pos % s->opts->shard_count == s->opts->shard_index;
-  }
-  if (!owned) return true;
-  if (s->pending.empty()) s->pending_first = pos;
+  if (pos >= s->opts->scan_end) return false;  // Past the window: stop.
+  if (pos < s->opts->scan_begin) return true;
   s->pending.AppendVertex(v);
   if (s->pending.size() >= ir::kBatchSize) return FlushScanBatch(s);
   return true;
 }
 
-/// State threaded through the fused columnar scan. The engine-side
-/// ownership logic (morsel claims / static window / modulo shard) runs as
-/// the GRIN `pred` callback — called for every vertex of the label, so
-/// scan positions count exactly as in the unfused scan — while the
-/// `visitor` only sees vertices that also passed the pushed-down filter.
+/// State threaded through the fused columnar scan. The scan window check
+/// runs as the GRIN `pred` callback — called for every vertex of the
+/// label, so scan positions count exactly as in the unfused scan — while
+/// the `visitor` only sees vertices that also passed the pushed-down filter.
 struct FusedScanState {
   static constexpr size_t kNotAProp = static_cast<size_t>(-1);
 
@@ -324,20 +290,13 @@ struct FusedScanState {
   const ExecOptions* opts = nullptr;
   std::vector<Batch>* out = nullptr;
   const ir::PushdownSplit* split = nullptr;
-  bool windowed = false;
-  size_t total = 0;
   size_t position = 0;
-  size_t cur_begin = 0;
-  size_t cur_end = 0;
-  size_t last_pos = 0;  ///< Position of the vertex currently in flight.
-  bool exhausted = false;
   bool project = false;
   /// Per projection expr: its slot in the natively gathered `prop_cols`,
   /// or kNotAProp (evaluated via Expr at flush time).
   std::vector<size_t> expr_slot;
   std::vector<Column> prop_cols;
   Column pending;  ///< Surviving vids, not yet flushed.
-  uint64_t pending_first = 0;
   Row tmp_row;  ///< Scratch single-column row for residual conjuncts.
   Status status;
 };
@@ -350,7 +309,6 @@ struct FusedScanState {
 bool FlushFusedScanBatch(FusedScanState* s) {
   if (!s->pending.empty()) {
     Batch b;
-    b.order_key = s->pending_first;
     if (!s->project) {
       b.AddColumn(std::move(s->pending));
       s->pending = Column();
@@ -388,33 +346,16 @@ bool FlushFusedScanBatch(FusedScanState* s) {
   return s->status.ok();
 }
 
-/// Engine predicate for the fused scan: claims position ownership exactly
-/// like ScanVisit. A GRIN predicate cannot stop the enumeration (false
-/// means "skip"), so after morsel exhaustion it keeps declining the
-/// remaining vertices instead of breaking out — positions still count.
+/// Engine predicate for the fused scan: keeps the positions inside the
+/// [scan_begin, scan_end) window. A GRIN predicate cannot stop the
+/// enumeration (false means "skip"), so past the window it keeps declining
+/// the remaining vertices.
 bool FusedScanPred(void* raw, vid_t v) {
   (void)v;
   auto* s = static_cast<FusedScanState*>(raw);
   const size_t pos = s->position++;
-  if (!s->status.ok() || s->exhausted) return false;
-  if (s->opts->morsels != nullptr) {
-    while (pos >= s->cur_end) {
-      if (!FlushFusedScanBatch(s)) return false;
-      s->cur_begin = s->opts->morsels->Claim();
-      s->cur_end = s->cur_begin + s->opts->morsels->grain;
-      if (s->cur_begin >= s->total) {
-        s->exhausted = true;
-        return false;
-      }
-    }
-    if (pos < s->cur_begin) return false;
-  } else if (s->windowed) {
-    if (pos < s->opts->scan_begin || pos >= s->opts->scan_end) return false;
-  } else if (pos % s->opts->shard_count != s->opts->shard_index) {
-    return false;
-  }
-  s->last_pos = pos;
-  return true;
+  return s->status.ok() && pos >= s->opts->scan_begin &&
+         pos < s->opts->scan_end;
 }
 
 /// Visitor for vertices that passed both the engine predicate and the
@@ -431,7 +372,6 @@ bool FusedScanKeep(void* raw, vid_t v, std::span<const PropertyValue> props) {
       }
     }
   }
-  if (s->pending.empty()) s->pending_first = s->last_pos;
   s->pending.AppendVertex(v);
   for (size_t k = 0; k < props.size(); ++k) {
     s->prop_cols[k].AppendValue(props[k]);
@@ -510,18 +450,8 @@ Status Interpreter::ColumnarScan(const ir::Op& op, std::vector<Batch>* out,
   st.g = &g;
   st.opts = &opts;
   st.out = out;
-  st.windowed = opts.scan_begin != 0 ||
-                opts.scan_end != static_cast<size_t>(-1);
-  if (op.label == kInvalidLabel) {
-    for (size_t l = 0; l < g.schema().vertex_label_num(); ++l) {
-      st.total += g.NumVerticesOfLabel(static_cast<label_t>(l));
-    }
-  } else {
-    st.total = g.NumVerticesOfLabel(op.label);
-  }
   auto done = [&]() {
-    return !st.status.ok() || st.exhausted ||
-           (st.windowed && st.position >= opts.scan_end);
+    return !st.status.ok() || st.position >= opts.scan_end;
   };
   if (op.label == kInvalidLabel) {
     for (size_t l = 0; l < g.schema().vertex_label_num() && !done(); ++l) {
@@ -560,9 +490,6 @@ Status Interpreter::ColumnarFusedScan(const ir::Op& op,
   st.opts = &opts;
   st.out = out;
   st.split = &split;
-  st.windowed =
-      opts.scan_begin != 0 || opts.scan_end != static_cast<size_t>(-1);
-  st.total = g.NumVerticesOfLabel(op.label);
   st.tmp_row.push_back(ir::VertexRef{0});
   // Fused projection: property reads the backend can serve straight from
   // its columns come back through the visitor's `props`; anything else
@@ -617,16 +544,13 @@ Status Interpreter::ApplyBatched(const ir::Op& op, std::vector<Batch>* batches,
         // Leading IndexScan, natively columnar: the common interactive
         // shape `(v:Label {id: $0})` resolves to at most one row, so the
         // row bridge's two conversions cost more than the scan itself.
-        // Same storage boundary as the row path: span and fault site open
-        // before the shard gate, exactly once per scan execution.
+        // Same storage boundary as the row path: one read span and one
+        // fault site per scan execution.
         trace::ScopedSpan read_span(opts.trace, "storage.read", "storage",
                                     op_span);
         if (FLEX_FAULT_POINT("storage.read")) {
           return Status::DataLoss("storage.read fault injected at scan");
         }
-        // Index lookups are not position-sharded: only shard 0 resolves
-        // them, or every Gaia worker would emit the row.
-        if (opts.shard_index != 0) return Status::OK();
         const Row empty;
         const PropertyValue oid_value =
             op.id_lookup->Eval(empty, g, opts.params);
@@ -831,7 +755,7 @@ Status Interpreter::ApplyBatched(const ir::Op& op, std::vector<Batch>* batches,
 
     case ir::OpKind::kExpandVar: {
       // Path enumeration stays row-wise (DFS per start vertex) but runs
-      // batch-at-a-time; outputs inherit the input batch's order_key.
+      // batch-at-a-time.
       std::vector<Batch> out;
       for (Batch& batch : *batches) {
         FLEX_RETURN_NOT_OK(
@@ -840,9 +764,7 @@ Status Interpreter::ApplyBatched(const ir::Op& op, std::vector<Batch>* batches,
         one.push_back(std::move(batch));
         std::vector<Row> rows = ir::BatchesToRows(one);
         FLEX_RETURN_NOT_OK(Apply(op, &rows, opts, op_span));
-        std::vector<Batch> rebuilt = ir::RowsToBatches(rows);
-        for (Batch& b : rebuilt) {
-          b.order_key = one[0].order_key;
+        for (Batch& b : ir::RowsToBatches(rows)) {
           NoteBatch(b);
           out.push_back(std::move(b));
         }
@@ -896,7 +818,6 @@ Status Interpreter::ApplyBatched(const ir::Op& op, std::vector<Batch>* batches,
             CheckRunnable(opts.deadline, opts.cancel, "interpreter"));
         if (batch.NumSelected() == 0) continue;
         Batch projected;
-        projected.order_key = batch.order_key;
         std::vector<PropertyValue> vals;
         for (const auto& expr : op.exprs) {
           Column col;
@@ -1043,15 +964,8 @@ Status Interpreter::Apply(const ir::Op& op, std::vector<Row>* rows,
       }
       std::vector<Row> out;
       std::vector<Row> base = std::move(*rows);
-      const bool leading = base.empty();
-      if (leading) base.push_back({});
+      if (base.empty()) base.push_back({});
       if (op.id_lookup != nullptr) {
-        // Index lookups are not position-sharded: for a leading scan only
-        // shard 0 resolves it, or every Gaia worker would emit the row.
-        if (leading && opts.shard_index != 0) {
-          rows->clear();
-          return Status::OK();
-        }
         // IndexScan: resolve the id once per input row via the GRIN oid
         // index (kOidIndex trait) instead of enumerating the label.
         for (const Row& row : base) {
@@ -1080,14 +994,10 @@ Status Interpreter::Apply(const ir::Op& op, std::vector<Row>* rows,
         *rows = std::move(out);
         return Status::OK();
       }
-      // Scans after the first (cartesian start of a new MATCH) are rare
-      // and never sharded; only the leading scan honours shard options.
-      // Ownership of a position: the static [scan_begin, scan_end) window
-      // when narrowed (Gaia's order-preserving sharding), else the legacy
-      // modulo shard.
+      // Only positions inside the [scan_begin, scan_end) window emit. Gaia
+      // never shards a plan with a scan after the first (cartesian start
+      // of a new MATCH), so such scans always see the full default window.
       size_t position = 0;
-      const bool windowed = opts.scan_begin != 0 ||
-                            opts.scan_end != static_cast<size_t>(-1);
       auto emit_label = [&](label_t label) {
         struct Ctx {
           const ir::Op* op;
@@ -1096,18 +1006,15 @@ Status Interpreter::Apply(const ir::Op& op, std::vector<Row>* rows,
           std::vector<Row>* out;
           const std::vector<Row>* base;
           size_t* position;
-          bool windowed;
-        } ctx{&op, &g, &opts, &out, &base, &position, windowed};
+        } ctx{&op, &g, &opts, &out, &base, &position};
         g.VisitVertices(
             label, nullptr, nullptr,
             [](void* raw, vid_t v) -> bool {
               auto* c = static_cast<Ctx*>(raw);
               const size_t pos = (*c->position)++;
-              const bool owned =
-                  c->windowed
-                      ? pos >= c->opts->scan_begin && pos < c->opts->scan_end
-                      : pos % c->opts->shard_count == c->opts->shard_index;
-              if (!owned) return true;
+              if (pos < c->opts->scan_begin || pos >= c->opts->scan_end) {
+                return true;
+              }
               for (const Row& row : *c->base) {
                 Row extended = row;
                 extended.push_back(ir::VertexRef{v});

@@ -1,7 +1,6 @@
 #ifndef FLEX_QUERY_INTERPRETER_H_
 #define FLEX_QUERY_INTERPRETER_H_
 
-#include <atomic>
 #include <cstddef>
 #include <vector>
 
@@ -14,41 +13,17 @@
 
 namespace flex::query {
 
-/// Shared morsel source for one sharded scan: workers claim contiguous
-/// position windows [k*grain, (k+1)*grain) off an atomic counter. The
-/// claims partition the position space, so every scan position is emitted
-/// by exactly one worker; each claimed window becomes at most one output
-/// batch whose order_key is its first position, which lets the exchange
-/// restore global scan order with a sort.
-struct ScanMorselSource {
-  explicit ScanMorselSource(size_t grain_size = ir::kBatchSize)
-      : grain(grain_size) {}
-
-  size_t grain;
-  std::atomic<size_t> next{0};
-
-  size_t Claim() { return next.fetch_add(grain, std::memory_order_relaxed); }
-};
-
 /// Options controlling one execution of a physical plan.
 struct ExecOptions {
   /// Bound values for $i parameters (stored procedures).
   std::vector<PropertyValue> params;
-  /// Data-parallel sharding of the leading SCAN. With the default window
-  /// below, this invocation only emits source vertices with
-  /// (position % shard_count) == shard_index. `shard_index` also gates
-  /// index scans: a leading id-lookup is resolved by shard 0 only.
-  size_t shard_index = 0;
-  size_t shard_count = 1;
-  /// Contiguous position window [scan_begin, scan_end) for the leading
-  /// SCAN. When narrowed from the full default range it replaces the
-  /// modulo sharding above; Gaia shards by windows so that concatenating
-  /// worker outputs in worker order preserves global scan order.
+  /// Position window [scan_begin, scan_end) of the SCAN: only vertices at
+  /// these global scan positions (label-major) are emitted. The default
+  /// covers the whole scan; index scans ignore it. Gaia gives worker w the
+  /// window [w*total/W, (w+1)*total/W) of the leading scan, so
+  /// concatenating worker outputs in worker order is global scan order.
   size_t scan_begin = 0;
   size_t scan_end = static_cast<size_t>(-1);
-  /// Morsel-driven scan: when set, the leading columnar SCAN claims
-  /// windows from this shared source instead of using the static window.
-  ScanMorselSource* morsels = nullptr;
   /// Columnar execution (~kBatchSize-tuple batches through the streaming
   /// operators; blocking operators bridge through rows, bit-identically).
   /// The row-at-a-time path remains as the Exp-2 A/B baseline.

@@ -1,6 +1,5 @@
 #include "query/plan_cache.h"
 
-#include <cstdio>
 #include <functional>
 
 #include "common/metric_names.h"
@@ -8,16 +7,11 @@
 
 namespace flex::query {
 
-std::string PlanCacheKey(char lang_tag, const std::string& text,
-                         uint32_t optimizer_flags,
-                         uint32_t backend_capabilities) {
-  char header[32];
-  const int n =
-      std::snprintf(header, sizeof(header), "%c:%x:%x:", lang_tag,
-                    optimizer_flags, backend_capabilities);
+std::string PlanCacheKey(char lang_tag, const std::string& text) {
   std::string key;
-  key.reserve(static_cast<size_t>(n) + text.size());
-  key.append(header, static_cast<size_t>(n));
+  key.reserve(2 + text.size());
+  key.push_back(lang_tag);
+  key.push_back(':');
   key.append(text);
   return key;
 }

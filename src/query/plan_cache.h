@@ -13,16 +13,10 @@
 
 namespace flex::query {
 
-/// Builds the canonical plan-cache key:
-/// `<lang>:<optimizer-flags-hex>:<backend-capabilities-hex>:<text>`.
-/// A cached plan is the output of one optimizer flag combination compiled
-/// against one backend's capability mask (pushdown legality — and thus
-/// plan shape — depends on both), so all three segments key the entry;
-/// the same text never resolves to a plan compiled under different
-/// settings.
-std::string PlanCacheKey(char lang_tag, const std::string& text,
-                         uint32_t optimizer_flags,
-                         uint32_t backend_capabilities);
+/// Builds the canonical plan-cache key `<lang>:<text>`. Each cache belongs
+/// to one QueryService, whose optimizer options and graph are fixed at
+/// construction, so language and text alone determine the compiled plan.
+std::string PlanCacheKey(char lang_tag, const std::string& text);
 
 /// Merged view of one cache's counters (scrape/test path; the per-shard
 /// cells are the source of truth).

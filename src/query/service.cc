@@ -104,11 +104,9 @@ Result<std::vector<ir::Row>> QueryService::Run(
     trace::ScopedSpan compile_span(options.trace, "compile", "compile",
                                    root_span.id());
     // Parameters ($i placeholders) are bound at execution, never folded
-    // into the plan, so calls sharing text (and flags + backend) share
-    // one cached plan safely.
+    // into the plan, so calls sharing text share one cached plan safely.
     const std::string cache_key =
-        PlanCacheKey(lang == Language::kCypher ? 'c' : 'g', text,
-                     options_.FlagBits(), graph_->capabilities());
+        PlanCacheKey(lang == Language::kCypher ? 'c' : 'g', text);
     shared_plan = plan_cache_.Lookup(cache_key);
     if (shared_plan == nullptr) {
       Result<ir::Plan> compiled = Compile(lang, text);

@@ -1,6 +1,6 @@
 #include "runtime/gaia.h"
 
-#include <algorithm>
+#include <iterator>
 #include <string>
 
 #include "common/mutex.h"
@@ -58,6 +58,50 @@ size_t ScanTotal(const grin::GrinGraph& g, const ir::Op& scan) {
   return g.NumVerticesOfLabel(scan.label);
 }
 
+/// Runs the streaming prefix on every worker, worker w owning the static
+/// scan window [w*total/W, (w+1)*total/W), then exchanges: partials are
+/// concatenated in worker order. The windows tile the scan in order, so
+/// the merged stream is exactly the single-threaded prefix output and
+/// needs no sort. `run_prefix(opts)` returns one worker's rows (row mode)
+/// or batches (batched mode).
+template <typename Chunk, typename RunPrefix>
+Result<std::vector<Chunk>> RunShardedPrefix(ThreadPool* pool, size_t workers,
+                                            size_t total,
+                                            const query::ExecOptions& base,
+                                            const RunPrefix& run_prefix) {
+  std::vector<Result<std::vector<Chunk>>> partials(workers,
+                                                   std::vector<Chunk>{});
+  ShardLatch latch(workers);
+  for (size_t w = 0; w < workers; ++w) {
+    pool->Submit([&, w] {
+      {
+        // Scoped so the span ends before CountDown: the waiter may read
+        // the trace the instant the latch releases.
+        trace::ScopedSpan shard_span(base.trace,
+                                     "gaia.shard[" + std::to_string(w) + "]",
+                                     "engine", base.trace_parent);
+        query::ExecOptions opts = base;
+        opts.scan_begin = w * total / workers;
+        opts.scan_end = (w + 1) * total / workers;
+        opts.trace_parent = shard_span.id();
+        partials[w] = run_prefix(opts);
+      }
+      latch.CountDown();
+    });
+  }
+  latch.Wait();
+  trace::ScopedSpan exchange_span(base.trace, "gaia.exchange", "engine",
+                                  base.trace_parent);
+  std::vector<Chunk> merged;
+  for (auto& partial : partials) {
+    FLEX_RETURN_NOT_OK(partial.status());
+    auto chunks = std::move(partial).value();
+    merged.insert(merged.end(), std::make_move_iterator(chunks.begin()),
+                  std::make_move_iterator(chunks.end()));
+  }
+  return merged;
+}
+
 }  // namespace
 
 GaiaEngine::GaiaEngine(const grin::GrinGraph* graph, size_t num_workers)
@@ -95,150 +139,50 @@ Result<std::vector<ir::Row>> GaiaEngine::Run(
     }
   }
 
-  // An id-pinned leading scan resolves through the oid index on shard 0
-  // only (the other shards' scans yield nothing), so sharding such a plan
-  // buys no parallelism and pays dispatch + latch on every query — the
-  // dominant cost for point lookups. Run it single-threaded instead.
+  // Only a leading label scan is sharded. An id-pinned leading scan
+  // resolves to at most one vertex through the oid index, so sharding it
+  // would buy no parallelism and pay dispatch + latch on every query — the
+  // dominant cost for point lookups. It runs single-threaded instead.
   const bool shardable = pool_ != nullptr && !plan.ops.empty() &&
                          (plan.ops[0].kind == ir::OpKind::kScan ||
                           plan.ops[0].kind == ir::OpKind::kFusedScan) &&
                          plan.ops[0].id_lookup == nullptr && split > 0 &&
                          !HasInnerScan(plan, split);
-  if (!shardable) {
-    query::ExecOptions opts;
-    opts.params = std::move(params);
-    opts.vectorized = vectorized;
-    opts.deadline = deadline;
-    opts.cancel = cancel;
-    opts.trace = trace;
-    opts.trace_parent = engine_span.id();
-    return interpreter.Run(plan, opts);
-  }
-
-  const size_t total = ScanTotal(*graph_, plan.ops[0]);
-  std::vector<ir::Row> merged;
-  if (vectorized) {
-    // Morsel-driven prefix: every worker pulls contiguous scan windows
-    // from one shared source, so load balances dynamically and no worker
-    // idles on a skewed shard.
-    query::ScanMorselSource morsels;
-    std::vector<Result<std::vector<ir::Batch>>> partials(
-        num_workers_,
-        Result<std::vector<ir::Batch>>(std::vector<ir::Batch>{}));
-    ShardLatch latch(num_workers_);
-    for (size_t w = 0; w < num_workers_; ++w) {
-      pool_->Submit([&, w] {
-        {
-          // Scoped so the span ends before CountDown: the waiter may read
-          // the trace the instant the latch releases.
-          trace::ScopedSpan shard_span(trace,
-                                       "gaia.shard[" + std::to_string(w) + "]",
-                                       "engine", engine_span.id());
-          query::ExecOptions opts;
-          opts.params = params;
-          opts.shard_index = w;  // Gates index scans to one resolver.
-          opts.shard_count = num_workers_;
-          opts.morsels = &morsels;
-          opts.vectorized = true;
-          opts.deadline = deadline;
-          opts.cancel = cancel;
-          opts.trace = trace;
-          opts.trace_parent = shard_span.id();
-          partials[w] = interpreter.RunRangeBatched(plan, 0, split, {}, opts);
-        }
-        latch.CountDown();
-      });
-    }
-    latch.Wait();
-    // Exchange: concatenate the worker batch lists and restore global
-    // scan order by order_key. Each scan window was claimed by exactly
-    // one worker and batches never span windows, so the sort reproduces
-    // the single-threaded row order exactly (stable: a worker's own
-    // batches are already ordered, and EXPAND outputs inherit their
-    // source batch's key).
-    std::vector<ir::Batch> all;
-    {
-      trace::ScopedSpan exchange_span(trace, "gaia.exchange", "engine",
-                                      engine_span.id());
-      for (auto& partial : partials) {
-        FLEX_RETURN_NOT_OK(partial.status());
-        auto batches = std::move(partial).value();
-        all.insert(all.end(), std::make_move_iterator(batches.begin()),
-                   std::make_move_iterator(batches.end()));
-      }
-      std::stable_sort(all.begin(), all.end(),
-                       [](const ir::Batch& a, const ir::Batch& b) {
-                         return a.order_key < b.order_key;
-                       });
-    }
-    // Blocking suffix, still columnar: GROUP aggregates natively over the
-    // order-restored batches instead of forcing a row bridge; ORDER /
-    // LIMIT / DEDUP bridge through rows inside RunRangeBatched,
-    // bit-identically to the row suffix.
-    query::ExecOptions sopts;
-    sopts.params = std::move(params);
-    sopts.vectorized = true;
-    sopts.deadline = deadline;
-    sopts.cancel = cancel;
-    sopts.trace = trace;
-    sopts.trace_parent = engine_span.id();
-    auto suffix = interpreter.RunRangeBatched(plan, split, plan.ops.size(),
-                                              std::move(all), sopts);
-    FLEX_RETURN_NOT_OK(suffix.status());
-    return ir::BatchesToRows(suffix.value());
-  } else {
-    // Row-mode prefix: one contiguous scan window per worker, so the
-    // exchange's concatenation in worker order preserves global scan
-    // order — the same order the batched mode reconstructs.
-    std::vector<Result<std::vector<ir::Row>>> partials(
-        num_workers_, Result<std::vector<ir::Row>>(std::vector<ir::Row>{}));
-    ShardLatch latch(num_workers_);
-    for (size_t w = 0; w < num_workers_; ++w) {
-      pool_->Submit([&, w] {
-        {
-          // Scoped so the span ends before CountDown: the waiter may read
-          // the trace the instant the latch releases.
-          trace::ScopedSpan shard_span(trace,
-                                       "gaia.shard[" + std::to_string(w) + "]",
-                                       "engine", engine_span.id());
-          query::ExecOptions opts;
-          opts.params = params;
-          opts.shard_index = w;  // Gates index scans to one resolver.
-          opts.shard_count = num_workers_;
-          opts.scan_begin = w * total / num_workers_;
-          opts.scan_end = (w + 1) * total / num_workers_;
-          opts.vectorized = false;
-          opts.deadline = deadline;
-          opts.cancel = cancel;
-          opts.trace = trace;
-          opts.trace_parent = shard_span.id();
-          partials[w] = interpreter.RunRange(plan, 0, split, {}, opts);
-        }
-        latch.CountDown();
-      });
-    }
-    latch.Wait();
-    trace::ScopedSpan exchange_span(trace, "gaia.exchange", "engine",
-                                    engine_span.id());
-    for (auto& partial : partials) {
-      FLEX_RETURN_NOT_OK(partial.status());
-      auto rows = std::move(partial).value();
-      merged.insert(merged.end(), std::make_move_iterator(rows.begin()),
-                    std::make_move_iterator(rows.end()));
-    }
-  }
-
-  // Blocking suffix: starts with a blocking operator, which the batched
-  // path would bridge through rows anyway, so both modes run it row-wise.
   query::ExecOptions opts;
   opts.params = std::move(params);
-  opts.vectorized = false;
+  opts.vectorized = vectorized;
   opts.deadline = deadline;
   opts.cancel = cancel;
   opts.trace = trace;
   opts.trace_parent = engine_span.id();
-  return interpreter.RunRange(plan, split, plan.ops.size(), std::move(merged),
-                              opts);
+  if (!shardable) return interpreter.Run(plan, opts);
+
+  // Both modes share the shard loop and the exchange; they differ only in
+  // running the prefix and the blocking suffix over batches or rows. The
+  // batched suffix stays columnar: GROUP aggregates natively, while ORDER /
+  // LIMIT / DEDUP bridge through rows inside RunRangeBatched,
+  // bit-identically to the row suffix.
+  const size_t total = ScanTotal(*graph_, plan.ops[0]);
+  if (vectorized) {
+    auto merged = RunShardedPrefix<ir::Batch>(
+        pool_.get(), num_workers_, total, opts,
+        [&](const query::ExecOptions& o) {
+          return interpreter.RunRangeBatched(plan, 0, split, {}, o);
+        });
+    FLEX_RETURN_NOT_OK(merged.status());
+    auto suffix = interpreter.RunRangeBatched(
+        plan, split, plan.ops.size(), std::move(merged).value(), opts);
+    FLEX_RETURN_NOT_OK(suffix.status());
+    return ir::BatchesToRows(suffix.value());
+  }
+  auto merged = RunShardedPrefix<ir::Row>(
+      pool_.get(), num_workers_, total, opts,
+      [&](const query::ExecOptions& o) {
+        return interpreter.RunRange(plan, 0, split, {}, o);
+      });
+  FLEX_RETURN_NOT_OK(merged.status());
+  return interpreter.RunRange(plan, split, plan.ops.size(),
+                              std::move(merged).value(), opts);
 }
 
 }  // namespace flex::runtime

@@ -22,10 +22,11 @@ enum class ExecMode { kBatched, kRowAtATime };
 /// gathers the shards — the latency-oriented data-parallel design the
 /// paper contrasts with HiActor's throughput orientation.
 ///
-/// In batched mode the prefix is morsel-driven: workers claim contiguous
-/// scan windows from a shared atomic source and stream ~kBatchSize
-/// columnar batches; the exchange concatenates the batch lists and
-/// restores global scan order by each batch's order_key.
+/// Both modes shard the leading scan the same way: worker w owns the static
+/// window [w*total/W, (w+1)*total/W) of scan positions and streams rows
+/// (row mode) or ~kBatchSize columnar batches (batched mode). The windows
+/// tile the scan in order, so the exchange concatenates the partials in
+/// worker order and the result is the single-threaded scan order.
 class GaiaEngine {
  public:
   GaiaEngine(const grin::GrinGraph* graph, size_t num_workers);

@@ -100,8 +100,8 @@ class HiActorEngine {
     std::deque<Task> queue GUARDED_BY(mu);
   };
 
-  void WorkerLoop(size_t shard_index);
-  bool TryRunOne(size_t shard_index);
+  void WorkerLoop(size_t home_shard);
+  bool TryRunOne(size_t home_shard);
 
   const grin::GrinGraph* default_graph_;
   std::vector<std::unique_ptr<Shard>> shards_;

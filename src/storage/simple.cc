@@ -41,8 +41,7 @@ class SimpleGrinGraph final : public grin::GrinGraph {
 
   uint32_t capabilities() const override {
     return grin::kVertexListArray | grin::kAdjacentListArray |
-           grin::kAdjacentListIterator | grin::kOidIndex | grin::kLabelIndex |
-           grin::kPredicatePushdown;
+           grin::kAdjacentListIterator | grin::kOidIndex | grin::kLabelIndex;
   }
 
   const GraphSchema& schema() const override { return store_->schema(); }
@@ -64,36 +63,6 @@ class SimpleGrinGraph final : public grin::GrinGraph {
       if (pred != nullptr && !pred(pred_ctx, v)) continue;
       if (!visitor(visitor_ctx, v)) return;
     }
-  }
-
-  bool VisitVerticesFiltered(label_t, grin::VertexPredicate pred,
-                             void* pred_ctx, const grin::VertexFilter& filter,
-                             std::span<const size_t> project_cols,
-                             grin::FilteredVertexVisitor visitor,
-                             void* visitor_ctx) const override {
-    // The simple store carries no vertex properties, so every condition
-    // compares against the empty value and the verdict is vertex-invariant:
-    // decide once, then either stream all pred-passing vids or count them
-    // all as pruned.
-    FLEX_COUNTER_INC(metrics::kStorageScansTotal);
-    bool pass = true;
-    for (const grin::VertexCondition& c : filter.conditions) {
-      if (!grin::MatchesCondition(c, PropertyValue())) {
-        pass = false;
-        break;
-      }
-    }
-    const std::vector<PropertyValue> props(project_cols.size());
-    const vid_t n = NumVertices();
-    for (vid_t v = 0; v < n; ++v) {
-      if (pred != nullptr && !pred(pred_ctx, v)) continue;
-      if (!pass) {
-        FLEX_COUNTER_INC(metrics::kFusedRowsPrunedTotal);
-        continue;
-      }
-      if (!visitor(visitor_ctx, v, props)) return false;
-    }
-    return true;
   }
 
   bool VisitAdj(vid_t v, Direction dir, label_t edge_label,

@@ -1,8 +1,9 @@
 // Exp-2 parity harness: every SNB interactive and BI query must produce
 // bit-identical result rows under the columnar (batched) path and the
-// legacy row-at-a-time path, at 1 shard and at 4 shards, and the two modes
-// must record the same trace span shapes — batching is an execution-layer
-// change only, invisible to results and to observability. Each query runs
+// legacy row-at-a-time path at 1, 2, 3 and 4 workers (3 gives uneven scan
+// windows), and the two modes must record the same trace span shapes —
+// batching is an execution-layer change only, invisible to results and to
+// observability. Each query runs
 // both with pipeline fusion (FUSED_SCAN / FUSED_EXPAND pushdown) and with
 // fusion disabled, and the two plans must agree row-for-row across every
 // (worker, mode) combination: fusion is a plan-shape change only. Span
@@ -68,17 +69,17 @@ class ExecParityTest : public ::testing::Test {
 
   /// Runs one plan through every (worker count, execution mode)
   /// combination with one shared parameter draw and asserts:
-  ///   - result rows are bit-identical across all four combinations, and
+  ///   - result rows are bit-identical across all eight combinations, and
   ///   - at each worker count, row and batched mode record identical span
-  ///     shapes (shapes legitimately differ *across* worker counts: 4
-  ///     shards add gaia.shard/gaia.exchange spans).
+  ///     shapes (shapes legitimately differ *across* worker counts: each
+  ///     worker adds a gaia.shard span, and sharding adds gaia.exchange).
   /// `reference` receives the rows of the first combination.
   static void RunPlanAllModes(const ir::Plan& plan,
                               const std::vector<PropertyValue>& params,
                               const std::string& name,
                               std::vector<std::string>* reference) {
     bool have_reference = false;
-    for (size_t workers : {size_t{1}, size_t{4}}) {
+    for (size_t workers : {size_t{1}, size_t{2}, size_t{3}, size_t{4}}) {
       runtime::GaiaEngine engine(graph_, workers);
       std::vector<std::vector<std::string>> results;
       std::vector<std::vector<std::string>> shapes;

@@ -317,8 +317,9 @@ TEST(KCoreTest, AgreesWithFlashPeeling) {
   flash::FlashEngine flash_engine(g, 3);
   for (uint32_t k : {2u, 5u, 10u}) {
     auto pie = RunKCore(frags, k);
-    auto fl = flash_engine.KCore(k);
-    EXPECT_EQ(pie, fl) << "k=" << k;
+    auto fl = flash_engine.KCoreChecked(k, flash::FlashOptions{});
+    ASSERT_TRUE(fl.ok()) << fl.status().ToString();
+    EXPECT_EQ(pie, fl.value()) << "k=" << k;
   }
 }
 
@@ -456,10 +457,10 @@ TEST(FlashTest, CheckedVariantsStopOnDeadlineAndCancel) {
   ASSERT_FALSE(louvain.ok());
   EXPECT_EQ(louvain.status().code(), StatusCode::kCancelled);
 
-  // Infinite options match the unchecked wrappers bit-for-bit.
+  // Infinite options run to completion.
   auto checked = engine.KCoreChecked(3, flash::FlashOptions{});
   ASSERT_TRUE(checked.ok());
-  EXPECT_EQ(checked.value(), engine.KCore(3));
+  EXPECT_EQ(checked.value().size(), g.num_vertices);
 }
 
 TEST(FlashTest, LccBounds) {
@@ -563,7 +564,9 @@ TEST(FlashTest, LouvainSeparatesCliques) {
   }
   g.edges.push_back({4, 5, 1.0});
   flash::FlashEngine engine(g, 2);
-  auto communities = engine.LouvainCommunities();
+  auto louvain = engine.LouvainCommunitiesChecked(10, flash::FlashOptions{});
+  ASSERT_TRUE(louvain.ok()) << louvain.status().ToString();
+  const std::vector<uint32_t>& communities = louvain.value();
   for (vid_t v = 1; v < 5; ++v) EXPECT_EQ(communities[v], communities[0]);
   for (vid_t v = 6; v < 10; ++v) EXPECT_EQ(communities[v], communities[5]);
   EXPECT_NE(communities[0], communities[5]);
@@ -577,7 +580,9 @@ TEST(FlashTest, LouvainSeparatesCliques) {
 TEST(FlashTest, LouvainImprovesModularityOnRandomGraph) {
   EdgeList g = datagen::GenerateUniform(300, 1200, 9);
   flash::FlashEngine engine(g, 2);
-  auto communities = engine.LouvainCommunities();
+  auto louvain = engine.LouvainCommunitiesChecked(10, flash::FlashOptions{});
+  ASSERT_TRUE(louvain.ok()) << louvain.status().ToString();
+  const std::vector<uint32_t>& communities = louvain.value();
   std::vector<uint32_t> singletons(300);
   for (vid_t v = 0; v < 300; ++v) singletons[v] = v;
   EXPECT_GE(engine.Modularity(communities), engine.Modularity(singletons));

@@ -2,6 +2,7 @@
 
 #include "common/random.h"
 #include "grape/message_manager.h"
+#include "optimizer/optimizer.h"
 #include "query/interpreter.h"
 #include "storage/vineyard/vineyard_store.h"
 
@@ -144,26 +145,6 @@ TEST_F(InterpreterOpTest, ExpandIntoFiltersNonEdges) {
   ASSERT_EQ(cycles.size(), 3u);  // Each rotation of the 0->1->3->0 cycle.
 }
 
-TEST_F(InterpreterOpTest, ShardingPartitionsScanExactly) {
-  PlanBuilder b;
-  b.Scan("a", 0);
-  std::vector<ExprPtr> out;
-  out.push_back(Expr::VertexId(0));
-  b.Project(std::move(out), {"id"});
-  ir::Plan plan = b.Build();
-  Interpreter interp(graph_.get());
-  std::vector<std::string> merged;
-  for (size_t shard = 0; shard < 3; ++shard) {
-    ExecOptions opts;
-    opts.shard_index = shard;
-    opts.shard_count = 3;
-    auto rows = interp.Run(plan, opts).value();
-    for (auto& line : RowsToStrings(rows)) merged.push_back(line);
-  }
-  std::sort(merged.begin(), merged.end());
-  EXPECT_EQ(merged, (std::vector<std::string>{"0", "1", "2", "3", "4"}));
-}
-
 TEST_F(InterpreterOpTest, RowAndBatchedPathsAgree) {
   // One plan per streaming/blocking operator shape; each must produce
   // bit-identical rows under the columnar path and the row-at-a-time path.
@@ -297,51 +278,56 @@ TEST_F(InterpreterOpTest, SumStaysExactAboveDoublePrecision) {
 }
 
 TEST_F(InterpreterOpTest, WindowedShardingPartitionsScanExactly) {
-  // The batched engine shards row-mode scans by contiguous windows; the
-  // windows must tile the scan with no overlap and preserve scan order.
-  PlanBuilder b;
-  b.Scan("a", 0);
-  std::vector<ExprPtr> out;
-  out.push_back(Expr::VertexId(0));
-  b.Project(std::move(out), {"id"});
-  const ir::Plan plan = b.Build();
+  // Gaia shards the leading scan by static windows, worker w owning
+  // positions [w*total/W, (w+1)*total/W), in both execution modes. For a
+  // plain SCAN and for a FUSED_SCAN (pushed filter + folded projection) the
+  // windows must tile the scan with no overlap, and concatenating window
+  // outputs in window order must be the unwindowed scan order — including
+  // uneven windows (W=3) and empty ones (W=7 > 5 positions).
+  auto plan_of = [](ExprPtr predicate) {
+    PlanBuilder b;
+    b.Scan("a", 0, std::move(predicate));
+    std::vector<ExprPtr> out;
+    out.push_back(Expr::VertexId(0));
+    b.Project(std::move(out), {"id"});
+    return b.Build();
+  };
+  const ir::Plan scan = plan_of(nullptr);
+  const ir::Plan fused = optimizer::Optimize(
+      plan_of(Expr::Binary(BinOp::kGt, Expr::Property(0, "x"),
+                           Expr::Const(PropertyValue(int64_t{1})))),
+      nullptr, {}, &graph_->schema());
+  ASSERT_EQ(fused.ops.size(), 1u);  // The PROJECT folded into the scan.
+  ASSERT_EQ(fused.ops[0].kind, ir::OpKind::kFusedScan);
+
+  const std::pair<const ir::Plan*, std::vector<std::string>> cases[] = {
+      {&scan, {"0", "1", "2", "3", "4"}},
+      {&fused, {"0", "2", "4"}},  // x = {3, 1, 4, 1, 5} > 1.
+  };
   Interpreter interp(graph_.get());
-  std::vector<std::string> merged;
-  const size_t bounds[] = {0, 2, 5};
-  for (size_t w = 0; w < 2; ++w) {
-    ExecOptions opts;
-    opts.vectorized = false;
-    opts.scan_begin = bounds[w];
-    opts.scan_end = bounds[w + 1];
-    auto rows = interp.Run(plan, opts).value();
-    for (auto& line : RowsToStrings(rows)) merged.push_back(line);
+  const size_t total = 5;
+  for (const auto& [plan, expected] : cases) {
+    for (bool vectorized : {false, true}) {
+      for (size_t workers : {size_t{1}, size_t{2}, size_t{3}, size_t{4},
+                             size_t{7}}) {
+        std::vector<std::string> merged;
+        for (size_t w = 0; w < workers; ++w) {
+          ExecOptions opts;
+          opts.vectorized = vectorized;
+          opts.scan_begin = w * total / workers;
+          opts.scan_end = (w + 1) * total / workers;
+          auto rows = interp.Run(*plan, opts);
+          ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+          for (auto& line : RowsToStrings(rows.value())) {
+            merged.push_back(line);
+          }
+        }
+        EXPECT_EQ(merged, expected)
+            << ir::OpKindName(plan->ops[0].kind) << " vectorized="
+            << vectorized << " workers=" << workers;
+      }
+    }
   }
-  // Concatenating window results in window order IS global scan order.
-  EXPECT_EQ(merged, (std::vector<std::string>{"0", "1", "2", "3", "4"}));
-}
-
-TEST_F(InterpreterOpTest, MorselSourceHandsOutEachWindowOnce) {
-  PlanBuilder b;
-  b.Scan("a", 0);
-  std::vector<ExprPtr> out;
-  out.push_back(Expr::VertexId(0));
-  b.Project(std::move(out), {"id"});
-  const ir::Plan plan = b.Build();
-
-  Interpreter interp(graph_.get());
-  ScanMorselSource morsels(/*grain_size=*/2);
-  ExecOptions opts;
-  opts.morsels = &morsels;
-  // The first "worker" drains every morsel window (claims are handed out
-  // atomically, so a sequential run claims them all)...
-  auto first = interp.RunRangeBatched(plan, 0, plan.ops.size(), {}, opts);
-  ASSERT_TRUE(first.ok());
-  EXPECT_EQ(RowsToStrings(ir::BatchesToRows(first.value())),
-            (std::vector<std::string>{"0", "1", "2", "3", "4"}));
-  // ...and a late-arriving worker sharing the source finds nothing left.
-  auto second = interp.RunRangeBatched(plan, 0, plan.ops.size(), {}, opts);
-  ASSERT_TRUE(second.ok());
-  EXPECT_TRUE(second.value().empty());
 }
 
 // ---------------------------------------------------- message codecs

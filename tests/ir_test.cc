@@ -334,8 +334,7 @@ TEST(BatchTest, SelectionRefinesWithoutCopying) {
 }
 
 TEST(BatchTest, RowsRoundTripThroughBatches) {
-  // > kBatchSize rows so the chunker emits multiple batches with
-  // consecutive order keys.
+  // > kBatchSize rows so the chunker emits multiple batches.
   std::vector<Row> rows;
   for (vid_t v = 0; v < kBatchSize + 10; ++v) {
     Row row;
@@ -343,10 +342,10 @@ TEST(BatchTest, RowsRoundTripThroughBatches) {
     row.push_back(Entry{PropertyValue(static_cast<int64_t>(v) * 2)});
     rows.push_back(std::move(row));
   }
-  const auto batches = RowsToBatches(rows, /*first_order_key=*/7);
+  const auto batches = RowsToBatches(rows);
   ASSERT_EQ(batches.size(), 2u);
-  EXPECT_EQ(batches[0].order_key, 7u);
-  EXPECT_EQ(batches[1].order_key, 7u + kBatchSize);
+  EXPECT_EQ(batches[0].NumSelected(), kBatchSize);
+  EXPECT_EQ(batches[1].NumSelected(), 10u);
   EXPECT_EQ(TotalSelected(batches), rows.size());
   const auto back = BatchesToRows(batches);
   ASSERT_EQ(back.size(), rows.size());

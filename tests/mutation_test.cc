@@ -431,9 +431,14 @@ TEST_F(MutationTest, HtapClientsReadPinnedEpochsWhileWriterCommits) {
   ThreadPool pool(kClients);
   for (int c = 0; c < kClients; ++c) {
     pool.Submit([&, c] {
+      // A client keeps reading until the writer is done *and* it has read
+      // a committed epoch: under a loaded or instrumented run the writer
+      // can finish every commit inside a client's first (epoch 0) read.
+      bool read_committed = false;
       do {
         auto snap = store.PinSnapshot();
         const version_t v = snap->SnapshotVersion();
+        read_committed = read_committed || v > 0;
         query::QueryService service(snap.get(), /*num_workers=*/2);
         query::RunOptions options;
         options.tenant = "htap-client-" + std::to_string(c);
@@ -446,7 +451,7 @@ TEST_F(MutationTest, HtapClientsReadPinnedEpochsWhileWriterCommits) {
         ASSERT_TRUE(liked.ok()) << liked.status().message();
         observed[c].push_back({v, query::RowsToStrings(persons.value()),
                                query::RowsToStrings(liked.value())});
-      } while (!done.load(std::memory_order_acquire));
+      } while (!done.load(std::memory_order_acquire) || !read_committed);
     });
   }
 

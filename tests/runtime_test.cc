@@ -43,20 +43,35 @@ class RuntimeTest : public ::testing::Test {
 // ------------------------------------------------------------------ Gaia
 
 TEST_F(RuntimeTest, GaiaShardCountsDoNotChangeResults) {
-  const ir::Plan plan = Compile(
+  // Rows and their order must not depend on the worker count or the mode.
+  // The plans without ORDER BY emit in exchange order (a streaming-only
+  // plan, and a GROUP whose groups appear in first-seen order), so they
+  // check that the exchange reassembles global scan order.
+  const std::string queries[] = {
       "MATCH (a:V)-[:E]->(b:V)-[:E]->(c:V) WHERE a.id < 20 "
-      "RETURN a.id, count(c) AS n ORDER BY a.id");
-  std::vector<std::string> reference;
-  for (size_t workers : {1u, 2u, 3u, 7u}) {
-    GaiaEngine gaia(graph_.get(), workers);
-    auto rows = gaia.Run(plan);
-    ASSERT_TRUE(rows.ok()) << workers;
-    auto lines = query::RowsToStrings(rows.value());
-    if (reference.empty()) {
-      reference = lines;
-      EXPECT_FALSE(reference.empty());
-    } else {
-      EXPECT_EQ(lines, reference) << workers << " workers";
+      "RETURN a.id, count(c) AS n ORDER BY a.id",
+      "MATCH (a:V)-[:E]->(b:V) WHERE a.id < 150 RETURN a.id, b.id",
+      "MATCH (a:V)-[:E]->(b:V) RETURN b.id, count(a) AS n",
+  };
+  for (const std::string& cypher : queries) {
+    const ir::Plan plan = Compile(cypher);
+    for (ExecMode mode : {ExecMode::kBatched, ExecMode::kRowAtATime}) {
+      std::vector<std::string> reference;
+      for (size_t workers : {1u, 2u, 3u, 7u}) {
+        GaiaEngine gaia(graph_.get(), workers);
+        auto rows = gaia.Run(plan, {}, {}, nullptr, nullptr,
+                             trace::kNoParent, mode);
+        ASSERT_TRUE(rows.ok()) << workers;
+        auto lines = query::RowsToStrings(rows.value());
+        if (reference.empty()) {
+          reference = lines;
+          EXPECT_FALSE(reference.empty());
+        } else {
+          EXPECT_EQ(lines, reference)
+              << cypher << ": " << workers << " workers, "
+              << (mode == ExecMode::kBatched ? "batched" : "row");
+        }
+      }
     }
   }
 }

@@ -26,7 +26,7 @@
 # the Exp-2 A/B smoke so the superstep communication path and the
 # columnar executor are exercised under ASan+UBSan and TSan outside of
 # ctest; their ctest runs include exec_parity_test, which replays every
-# SNB query fusion-on vs fusion-off across row/batched x 1/4 shards, so
+# SNB query fusion-on vs fusion-off across row/batched x 1-4 workers, so
 # the fused pipelines are sanitizer-checked in both states.
 #
 # The serving pass is the multi-client harness: it builds

@@ -11,6 +11,7 @@
 #include <cstring>
 #include <future>
 #include <string>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "common/logging.h"
@@ -65,9 +66,10 @@ int RunAb(bool smoke, const std::string& json_path, double min_geomean) {
   double log_sum = 0.0;
   const int kSamples = smoke ? 3 : 11;
   for (size_t i = 0; i < reads.size(); ++i) {
-    auto run_once = [&](runtime::ExecMode mode, Rng& rng) {
-      auto rows = engine.Run(plans[i], reads[i].params(rng, stats), {},
-                             nullptr, nullptr, trace::kNoParent, mode);
+    auto run_once = [&](runtime::ExecMode mode,
+                        const std::vector<PropertyValue>& params) {
+      auto rows = engine.Run(plans[i], params, {}, nullptr, nullptr,
+                             trace::kNoParent, mode);
       FLEX_CHECK(rows.ok());
       bench::Sink(rows.value().size());
     };
@@ -77,29 +79,50 @@ int RunAb(bool smoke, const std::string& json_path, double min_geomean) {
     int inner = 1;
     {
       Rng rng(900 + i);
-      run_once(runtime::ExecMode::kRowAtATime, rng);  // Warm caches.
+      run_once(runtime::ExecMode::kRowAtATime, reads[i].params(rng, stats));
+      const std::vector<PropertyValue> params = reads[i].params(rng, stats);
       Timer cal;
-      run_once(runtime::ExecMode::kRowAtATime, rng);
+      run_once(runtime::ExecMode::kRowAtATime, params);
       const double single = cal.ElapsedMillis();
       inner = std::max(
           1, static_cast<int>(std::ceil(0.5 / std::max(single, 1e-4))));
     }
-    // Median of samples, identical parameter-draw sequences per mode.
-    auto time_mode = [&](runtime::ExecMode mode, uint64_t seed) {
-      Rng rng(seed);
-      run_once(mode, rng);  // Warmup.
-      std::vector<double> samples;
-      for (int s = 0; s < kSamples; ++s) {
-        Timer timer;
-        for (int r = 0; r < inner; ++r) run_once(mode, rng);
-        samples.push_back(timer.ElapsedMillis() / inner);
+    // One parameter list per query, shared by both modes, and both modes
+    // warmed on it. Samples alternate which mode runs first, so neither
+    // mode systematically replays vertices the other just brought into
+    // cache. Each mode reports the median of its samples.
+    std::vector<std::vector<PropertyValue>> draws;
+    {
+      Rng rng(300 + i);
+      for (int r = 0; r < inner; ++r) {
+        draws.push_back(reads[i].params(rng, stats));
       }
+    }
+    auto pass = [&](runtime::ExecMode mode) {
+      Timer timer;
+      for (const auto& params : draws) run_once(mode, params);
+      return timer.ElapsedMillis() / inner;
+    };
+    pass(runtime::ExecMode::kRowAtATime);  // Warmup.
+    pass(runtime::ExecMode::kBatched);
+    std::vector<double> row_samples;
+    std::vector<double> batched_samples;
+    for (int s = 0; s < kSamples; ++s) {
+      if (s % 2 == 0) {
+        row_samples.push_back(pass(runtime::ExecMode::kRowAtATime));
+        batched_samples.push_back(pass(runtime::ExecMode::kBatched));
+      } else {
+        batched_samples.push_back(pass(runtime::ExecMode::kBatched));
+        row_samples.push_back(pass(runtime::ExecMode::kRowAtATime));
+      }
+    }
+    auto median = [&](std::vector<double>& samples) {
       std::nth_element(samples.begin(), samples.begin() + kSamples / 2,
                        samples.end());
       return samples[kSamples / 2];
     };
-    const double row_ms = time_mode(runtime::ExecMode::kRowAtATime, 300 + i);
-    const double batched_ms = time_mode(runtime::ExecMode::kBatched, 300 + i);
+    const double row_ms = median(row_samples);
+    const double batched_ms = median(batched_samples);
     log_sum += std::log(row_ms / batched_ms);
     std::printf("%-5s %10.3fms %10.3fms %10s\n", reads[i].name.c_str(),
                 row_ms, batched_ms, bench::Ratio(row_ms, batched_ms).c_str());

@@ -26,17 +26,6 @@ bool MatchesCondition(const VertexCondition& condition,
   return false;
 }
 
-bool VertexFilter::Matches(const GrinGraph& graph, vid_t v) const {
-  for (const VertexCondition& condition : conditions) {
-    const PropertyValue value = condition.column == VertexCondition::kNoColumn
-                                    ? PropertyValue()
-                                    : graph.GetVertexProperty(v,
-                                                              condition.column);
-    if (!MatchesCondition(condition, value)) return false;
-  }
-  return true;
-}
-
 GrinGraph::~GrinGraph() = default;
 
 Status GrinGraph::RequireTraits(uint32_t required) const {
@@ -104,39 +93,108 @@ void GrinGraph::GetVerticesProperties(std::span<const vid_t> vids, size_t col,
 
 namespace {
 
-/// Shared by both default filtered entry points: evaluates the filter via
-/// the boxed accessor and gathers the projection columns into a reused
-/// scratch buffer.
-struct FilteredForward {
-  const GrinGraph* graph;
-  const VertexFilter* filter;
-  std::span<const size_t> project_cols;
-  std::vector<PropertyValue> props;
+/// Candidates buffered per chunk by the filtered entry points: enough to
+/// amortise one GetVerticesProperties call per column, few enough that
+/// the buffers stay cache-resident.
+constexpr size_t kFilterChunk = 1024;
 
-  bool Survives(vid_t v) {
-    if (!filter->Matches(*graph, v)) {
-      FLEX_COUNTER_INC(metrics::kFusedRowsPrunedTotal);
-      return false;
-    }
-    props.resize(project_cols.size());
-    for (size_t i = 0; i < project_cols.size(); ++i) {
-      props[i] = graph->GetVertexProperty(v, project_cols[i]);
-    }
-    return true;
+/// The one filtered path behind both entry points. Candidates (vertices
+/// that passed the engine predicate or the destination-label check) buffer
+/// in visit order, each with a caller tag. Flush evaluates the filter one
+/// condition column at a time through GetVerticesProperties, narrowing the
+/// candidate set as it goes, gathers the projection columns for the
+/// survivors the same way, and delivers the survivors in visit order.
+/// Buffers are reused across chunks.
+class FilterChunker {
+ public:
+  FilterChunker(const GrinGraph& graph, const VertexFilter& filter,
+                std::span<const size_t> project_cols)
+      : graph_(graph), filter_(filter), project_cols_(project_cols) {}
+
+  /// Nothing to evaluate or gather: callers deliver straight from the
+  /// visit, buffering (and allocating) nothing.
+  bool passthrough() const {
+    return filter_.empty() && project_cols_.empty();
   }
-};
 
-struct FilteredScanForward {
-  FilteredForward shared;
-  FilteredVertexVisitor visitor;
-  void* visitor_ctx;
-};
+  /// Buffers one candidate; true when the chunk is full and must flush.
+  bool Add(vid_t v, size_t tag) {
+    vids_.push_back(v);
+    tags_.push_back(tag);
+    return vids_.size() >= kFilterChunk;
+  }
 
-struct FilteredAdjForward {
-  FilteredForward shared;
-  label_t dst_label;
-  FilteredNeighborVisitor visitor;
-  void* ctx;
+  /// Calls `deliver(tag, v, props)` for each buffered survivor in visit
+  /// order and empties the buffer. Returns false as soon as `deliver`
+  /// does; candidates after that one are neither delivered nor counted.
+  /// Every pruned candidate before the stop bumps kFusedRowsPrunedTotal.
+  template <typename Deliver>
+  bool Flush(Deliver&& deliver) {
+    const size_t n = vids_.size();
+    keep_.resize(n);
+    for (size_t i = 0; i < n; ++i) keep_[i] = i;
+    for (const VertexCondition& condition : filter_.conditions) {
+      if (keep_.empty()) break;
+      if (condition.column == VertexCondition::kNoColumn) {
+        // An unresolvable property reads as the empty value everywhere.
+        if (!MatchesCondition(condition, PropertyValue())) keep_.clear();
+        continue;
+      }
+      Fetch(condition.column);
+      size_t kept = 0;
+      for (size_t k = 0; k < keep_.size(); ++k) {
+        if (MatchesCondition(condition, values_[k])) keep_[kept++] = keep_[k];
+      }
+      keep_.resize(kept);
+    }
+    const size_t width = project_cols_.size();
+    props_.resize(keep_.size() * width);
+    for (size_t p = 0; p < width && !keep_.empty(); ++p) {
+      Fetch(project_cols_[p]);
+      for (size_t k = 0; k < keep_.size(); ++k) {
+        props_[k * width + p] = std::move(values_[k]);
+      }
+    }
+    size_t pruned = 0;
+    size_t next = 0;  // First candidate not yet delivered or pruned.
+    bool go = true;
+    for (size_t k = 0; k < keep_.size() && go; ++k) {
+      const size_t i = keep_[k];
+      pruned += i - next;
+      next = i + 1;
+      go = deliver(tags_[i], vids_[i],
+                   std::span<const PropertyValue>(props_.data() + k * width,
+                                                  width));
+    }
+    if (go) pruned += n - next;
+    if (pruned > 0) FLEX_COUNTER_ADD(metrics::kFusedRowsPrunedTotal, pruned);
+    vids_.clear();
+    tags_.clear();
+    return go;
+  }
+
+ private:
+  /// values_[k] = column `col` of the k-th kept candidate.
+  void Fetch(size_t col) {
+    std::span<const vid_t> vids = vids_;
+    if (keep_.size() < vids_.size()) {
+      gather_.clear();
+      for (const size_t i : keep_) gather_.push_back(vids_[i]);
+      vids = gather_;
+    }
+    values_.resize(vids.size());
+    graph_.GetVerticesProperties(vids, col, values_.data());
+  }
+
+  const GrinGraph& graph_;
+  const VertexFilter& filter_;
+  std::span<const size_t> project_cols_;
+  std::vector<vid_t> vids_;    ///< Buffered candidates, visit order.
+  std::vector<size_t> tags_;   ///< Caller tag per candidate.
+  std::vector<size_t> keep_;   ///< Indices of candidates still passing.
+  std::vector<vid_t> gather_;  ///< Kept vids, when fewer than all.
+  std::vector<PropertyValue> values_;  ///< One fetched column.
+  std::vector<PropertyValue> props_;   ///< Survivor-major projections.
 };
 
 }  // namespace
@@ -147,27 +205,32 @@ bool GrinGraph::VisitVerticesFiltered(label_t label, VertexPredicate pred,
                                       std::span<const size_t> project_cols,
                                       FilteredVertexVisitor visitor,
                                       void* visitor_ctx) const {
-  FilteredScanForward forward{{this, &filter, project_cols, {}},
-                              visitor, visitor_ctx};
-  bool stopped = false;
-  struct Outer {
-    FilteredScanForward* forward;
-    bool* stopped;
-  } outer{&forward, &stopped};
+  struct Ctx {
+    FilterChunker chunk;
+    FilteredVertexVisitor visitor;
+    void* visitor_ctx;
+    bool stopped = false;
+
+    bool Flush() {
+      stopped = !chunk.Flush(
+          [this](size_t, vid_t v, std::span<const PropertyValue> props) {
+            return visitor(visitor_ctx, v, props);
+          });
+      return !stopped;
+    }
+  } ctx{{*this, filter, project_cols}, visitor, visitor_ctx};
   VisitVertices(
       label, pred, pred_ctx,
       [](void* raw, vid_t v) -> bool {
-        auto* o = static_cast<Outer*>(raw);
-        if (!o->forward->shared.Survives(v)) return true;
-        if (!o->forward->visitor(o->forward->visitor_ctx, v,
-                                 o->forward->shared.props)) {
-          *o->stopped = true;
-          return false;
+        auto* c = static_cast<Ctx*>(raw);
+        if (c->chunk.passthrough()) {
+          c->stopped = !c->visitor(c->visitor_ctx, v, {});
+          return !c->stopped;
         }
-        return true;
+        return !c->chunk.Add(v, 0) || c->Flush();
       },
-      &outer);
-  return !stopped;
+      &ctx);
+  return !ctx.stopped && ctx.Flush();
 }
 
 bool GrinGraph::GetNeighborsBatch(std::span<const vid_t> vids, Direction dir,
@@ -176,26 +239,40 @@ bool GrinGraph::GetNeighborsBatch(std::span<const vid_t> vids, Direction dir,
                                   std::span<const size_t> project_cols,
                                   FilteredNeighborVisitor visitor,
                                   void* ctx) const {
-  FilteredAdjForward forward{{this, &filter, project_cols, {}},
-                             dst_label, visitor, ctx};
-  return GetNeighborsBatch(
+  struct Ctx {
+    const GrinGraph* graph;
+    label_t dst_label;
+    FilterChunker chunk;
+    FilteredNeighborVisitor visitor;
+    void* ctx;
+
+    bool Flush() {
+      return chunk.Flush([this](size_t src_index, vid_t nbr,
+                                std::span<const PropertyValue> props) {
+        return visitor(ctx, src_index, nbr, props);
+      });
+    }
+  } c{this, dst_label, {*this, filter, project_cols}, visitor, ctx};
+  const bool done = GetNeighborsBatch(
       vids, dir, edge_label,
       [](void* raw, size_t src_index, Direction, const AdjChunk& chunk)
           -> bool {
-        auto* f = static_cast<FilteredAdjForward*>(raw);
+        auto* c = static_cast<Ctx*>(raw);
         for (const vid_t nbr : chunk.neighbors) {
-          if (f->dst_label != kInvalidLabel &&
-              f->shared.graph->VertexLabelOf(nbr) != f->dst_label) {
+          if (c->dst_label != kInvalidLabel &&
+              c->graph->VertexLabelOf(nbr) != c->dst_label) {
             continue;
           }
-          if (!f->shared.Survives(nbr)) continue;
-          if (!f->visitor(f->ctx, src_index, nbr, f->shared.props)) {
+          if (c->chunk.passthrough()) {
+            if (!c->visitor(c->ctx, src_index, nbr, {})) return false;
+          } else if (c->chunk.Add(nbr, src_index) && !c->Flush()) {
             return false;
           }
         }
         return true;
       },
-      &forward);
+      &c);
+  return done && c.Flush();
 }
 
 std::span<const int64_t> GrinGraph::VertexInt64Column(label_t label,

@@ -17,6 +17,9 @@ namespace flex::grin {
 
 /// GRIN capability traits, grouped into the paper's six categories
 /// (Figure 4): topology, property, partition, index, predicate, common.
+/// The predicate category carries no trait: it is the two filtered entry
+/// points (VisitVerticesFiltered and the filtered GetNeighborsBatch),
+/// which every backend serves through GetVerticesProperties.
 ///
 /// A storage backend advertises exactly the traits it can honour; an
 /// execution engine requires some traits and optionally exploits others.
@@ -49,10 +52,6 @@ enum Trait : uint32_t {
   kOidIndex = 1u << 7,
   /// Vertices enumerable by label without scanning others.
   kLabelIndex = 1u << 8,
-
-  // --- predicate ---
-  /// Scans accept a pushed-down predicate evaluated inside the storage.
-  kPredicatePushdown = 1u << 9,
 
   // --- common ---
   /// The graph is a consistent MVCC snapshot of a mutable store.
@@ -91,7 +90,7 @@ using AdjVisitor = bool (*)(void* ctx, const AdjChunk& chunk);
 using BatchAdjVisitor = bool (*)(void* ctx, size_t src_index, Direction dir,
                                  const AdjChunk& chunk);
 
-/// Predicate evaluated inside storage scans when kPredicatePushdown is set.
+/// Engine predicate evaluated inside storage scans; false skips the vertex.
 using VertexPredicate = bool (*)(void* ctx, vid_t v);
 
 class GrinGraph;
@@ -110,21 +109,17 @@ struct VertexCondition {
   PropertyValue value;
 };
 
-/// One condition against an already-fetched property value (the shared
-/// comparison kernel for native scan loops).
+/// One condition against an already-fetched property value.
 bool MatchesCondition(const VertexCondition& condition,
                       const PropertyValue& value);
 
-/// A conjunction of pushed-down conditions. Conditions are pure, so
-/// backends may evaluate them in any order (and stop at the first miss)
-/// without changing the survivor set.
+/// A conjunction of pushed-down conditions. Conditions are pure, so they
+/// may be evaluated in any order (and stop at the first miss) without
+/// changing the survivor set.
 struct VertexFilter {
   std::vector<VertexCondition> conditions;
 
   bool empty() const { return conditions.empty(); }
-  /// Reference evaluation through the boxed property accessor; native
-  /// scan loops inline the same comparisons against their raw columns.
-  bool Matches(const GrinGraph& graph, vid_t v) const;
 };
 
 /// Visitor for filtered+projected vertex scans: called once per vertex
@@ -171,17 +166,20 @@ class GrinGraph {
                              void* pred_ctx, bool (*visitor)(void*, vid_t),
                              void* visitor_ctx) const = 0;
 
-  /// Filtered + projected scan (the kPredicatePushdown trait's scan entry
+  /// Filtered + projected scan (the predicate category's scan entry
   /// point): enumerates vids of `label` in the same order as
-  /// VisitVertices, calling `pred` for EVERY vertex (engines count scan
-  /// positions and decide shard ownership there — implementations must
-  /// not skip it), then evaluating `filter` only for pred-passing
-  /// vertices, and invoking `visitor` for survivors with the values of
-  /// `project_cols` gathered. Backends advertising the trait override
-  /// this to evaluate the filter inside their scan loop against raw
-  /// columns (one lock per scan, no boxed dispatch per vertex); the
-  /// default wraps VisitVertices + GetVertexProperty and is correct for
-  /// every backend, so engines call this unconditionally for fused scans.
+  /// VisitVertices, calling `pred` once for EVERY vertex the enumeration
+  /// reaches (engines count scan positions and decide shard ownership
+  /// there), evaluating `filter` only for pred-passing vertices, and
+  /// invoking `visitor` for survivors, in visit order, with the values of
+  /// `project_cols` gathered. Returns false if the visitor stopped the
+  /// scan. One implementation serves every backend: pred-passing vertices
+  /// buffer in chunks of 1024, and each chunk costs one
+  /// GetVerticesProperties call per condition column and per projection
+  /// column, so a backend speeds up fused scans by overriding that batched
+  /// accessor. Because a chunk is filtered before any of it is delivered,
+  /// `pred` may already have run for up to one chunk of vertices past the
+  /// one whose visitor call stopped the scan.
   virtual bool VisitVerticesFiltered(label_t label, VertexPredicate pred,
                                      void* pred_ctx,
                                      const VertexFilter& filter,
@@ -220,14 +218,14 @@ class GrinGraph {
                                  label_t edge_label, BatchAdjVisitor visitor,
                                  void* ctx) const;
 
-  /// Filtered + projected batched expansion (the kPredicatePushdown
-  /// trait's adjacency entry point): like GetNeighborsBatch — same
-  /// per-source kOut-then-kIn chunk order — but each neighbor is checked
-  /// against `dst_label` (kInvalidLabel = any) and `filter` inside the
-  /// visit, and survivors are delivered one at a time with `project_cols`
-  /// gathered. The default wraps the unfiltered batch visit and is
-  /// correct everywhere; trait backends override it to evaluate the
-  /// filter against raw columns under one lock per batch.
+  /// Filtered + projected batched expansion (the predicate category's
+  /// adjacency entry point): like GetNeighborsBatch — same per-source
+  /// kOut-then-kIn neighbor order — but each neighbor is checked against
+  /// `dst_label` (kInvalidLabel = any) and `filter`, and survivors are
+  /// delivered one at a time with `project_cols` gathered. One
+  /// implementation serves every backend: label-matching neighbors buffer
+  /// in chunks of 1024 over the unfiltered GetNeighborsBatch, filtered and
+  /// projected through GetVerticesProperties as in VisitVerticesFiltered.
   virtual bool GetNeighborsBatch(std::span<const vid_t> vids, Direction dir,
                                  label_t edge_label, label_t dst_label,
                                  const VertexFilter& filter,

@@ -994,9 +994,10 @@ Status Interpreter::Apply(const ir::Op& op, std::vector<Row>* rows,
         *rows = std::move(out);
         return Status::OK();
       }
-      // Only positions inside the [scan_begin, scan_end) window emit. Gaia
-      // never shards a plan with a scan after the first (cartesian start
-      // of a new MATCH), so such scans always see the full default window.
+      // Only positions inside the [scan_begin, scan_end) window emit, and
+      // the visit stops at the window's end. Gaia never shards a plan with
+      // a scan after the first (cartesian start of a new MATCH), so such
+      // scans always see the full default window.
       size_t position = 0;
       auto emit_label = [&](label_t label) {
         struct Ctx {
@@ -1012,9 +1013,8 @@ Status Interpreter::Apply(const ir::Op& op, std::vector<Row>* rows,
             [](void* raw, vid_t v) -> bool {
               auto* c = static_cast<Ctx*>(raw);
               const size_t pos = (*c->position)++;
-              if (pos < c->opts->scan_begin || pos >= c->opts->scan_end) {
-                return true;
-              }
+              if (pos >= c->opts->scan_end) return false;
+              if (pos < c->opts->scan_begin) return true;
               for (const Row& row : *c->base) {
                 Row extended = row;
                 extended.push_back(ir::VertexRef{v});
@@ -1030,7 +1030,9 @@ Status Interpreter::Apply(const ir::Op& op, std::vector<Row>* rows,
             &ctx);
       };
       if (op.label == kInvalidLabel) {
-        for (size_t l = 0; l < g.schema().vertex_label_num(); ++l) {
+        for (size_t l = 0;
+             l < g.schema().vertex_label_num() && position < opts.scan_end;
+             ++l) {
           emit_label(static_cast<label_t>(l));
         }
       } else {

@@ -510,8 +510,7 @@ class GraphArDirectGraph final : public grin::GrinGraph {
   uint32_t capabilities() const override {
     return grin::kVertexListArray | grin::kAdjacentListArray |
            grin::kAdjacentListIterator | grin::kVertexProperty |
-           grin::kEdgeProperty | grin::kOidIndex | grin::kLabelIndex |
-           grin::kPredicatePushdown;
+           grin::kEdgeProperty | grin::kOidIndex | grin::kLabelIndex;
   }
 
   const GraphSchema& schema() const override { return reader_->schema(); }
@@ -540,94 +539,6 @@ class GraphArDirectGraph final : public grin::GrinGraph {
       if (pred != nullptr && !pred(pred_ctx, v)) continue;
       if (!visitor(visitor_ctx, v)) return;
     }
-  }
-
-  bool VisitVerticesFiltered(label_t label, grin::VertexPredicate pred,
-                             void* pred_ctx, const grin::VertexFilter& filter,
-                             std::span<const size_t> project_cols,
-                             grin::FilteredVertexVisitor visitor,
-                             void* visitor_ctx) const override {
-    // Native pushdown scan: the section lookup and chunk-table parse
-    // happen once per referenced column for the whole scan, and each
-    // column's one-chunk decode cache rides the sequential row order.
-    // The boxed fallback (GetVertexProperty per vertex) rebuilds the
-    // section name and re-parses the chunk table on every access.
-    FLEX_COUNTER_INC(metrics::kStorageScansTotal);
-    const auto& def = reader_->schema().vertex_label(label);
-
-    // One open column = parsed chunk table + lazily decoded current chunk.
-    struct ScanColumn {
-      bool ok = false;
-      PropertyType type{};
-      ParsedSection parsed;
-      size_t chunk_rows = 0;
-      int64_t cached_chunk = -1;
-      std::unique_ptr<PropertyColumn> column;
-
-      PropertyValue Get(size_t row) {
-        if (!ok) return PropertyValue();
-        const size_t chunk_id = row / chunk_rows;
-        if (chunk_id >= parsed.chunks.size()) return PropertyValue();
-        if (cached_chunk != static_cast<int64_t>(chunk_id)) {
-          auto decoded = std::make_unique<PropertyColumn>(type);
-          if (!DecodeColumnChunk(parsed.chunks[chunk_id].bytes,
-                                 parsed.chunks[chunk_id].nrows, decoded.get())
-                   .ok()) {
-            return PropertyValue();
-          }
-          cached_chunk = static_cast<int64_t>(chunk_id);
-          column = std::move(decoded);
-        }
-        return column->Get(row - chunk_id * chunk_rows);
-      }
-    };
-    auto open_column = [&](size_t col) {
-      ScanColumn sc;
-      if (col >= def.properties.size()) return sc;
-      sc.type = def.properties[col].type;
-      auto bytes =
-          reader_->Section("v/" + def.name + "/p" + std::to_string(col));
-      if (!bytes.ok()) return sc;
-      auto parsed = ParseChunks(bytes.value());
-      if (!parsed.ok() || parsed.value().chunks.empty()) return sc;
-      sc.parsed = std::move(parsed).value();
-      sc.chunk_rows = sc.parsed.chunks[0].nrows;
-      sc.ok = sc.chunk_rows > 0;
-      return sc;
-    };
-    std::vector<ScanColumn> cond_cols;
-    cond_cols.reserve(filter.conditions.size());
-    for (const grin::VertexCondition& c : filter.conditions) {
-      cond_cols.push_back(c.column == grin::VertexCondition::kNoColumn
-                              ? ScanColumn{}
-                              : open_column(c.column));
-    }
-    std::vector<ScanColumn> proj_cols;
-    proj_cols.reserve(project_cols.size());
-    for (const size_t col : project_cols) proj_cols.push_back(open_column(col));
-
-    std::vector<PropertyValue> props(project_cols.size());
-    for (vid_t v = label_start_[label]; v < label_start_[label + 1]; ++v) {
-      if (pred != nullptr && !pred(pred_ctx, v)) continue;
-      const size_t row = v - label_start_[label];
-      bool pass = true;
-      for (size_t i = 0; i < filter.conditions.size(); ++i) {
-        if (!grin::MatchesCondition(filter.conditions[i],
-                                    cond_cols[i].Get(row))) {
-          pass = false;
-          break;
-        }
-      }
-      if (!pass) {
-        FLEX_COUNTER_INC(metrics::kFusedRowsPrunedTotal);
-        continue;
-      }
-      for (size_t p = 0; p < proj_cols.size(); ++p) {
-        props[p] = proj_cols[p].Get(row);
-      }
-      if (!visitor(visitor_ctx, v, props)) return false;
-    }
-    return true;
   }
 
   bool VisitAdj(vid_t v, Direction dir, label_t edge_label,

@@ -181,10 +181,9 @@ class VineyardGrin final : public grin::GrinGraph {
   std::string backend_name() const override { return "vineyard"; }
 
   uint32_t capabilities() const override {
-    // No kPredicatePushdown: fused scans/expands on Vineyard go through
-    // the GrinGraph default filtered entry points, which keeps the
-    // always-correct fallback path covered by the parity suite (this is
-    // the backend exec_parity_test runs against).
+    // Every trait. Fused scans/expands go through the GrinGraph filtered
+    // entry points, as on every backend; Vineyard keeps the default
+    // GetVerticesProperties, whose per-vertex reads are plain array loads.
     return grin::kVertexListArray | grin::kAdjacentListArray |
            grin::kAdjacentListIterator | grin::kVertexProperty |
            grin::kEdgeProperty | grin::kPropertyColumnArray |

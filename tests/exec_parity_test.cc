@@ -9,17 +9,28 @@
 // (worker, mode) combination: fusion is a plan-shape change only. Span
 // shapes are compared within one plan (a fused plan legitimately records
 // op.fused_* marker spans the unfused plan does not).
+//
+// A second suite replays the fused and unfused plans, batched at 1 and 2
+// workers, on GART and GraphAr next to Vineyard: pushed-down filters run
+// through the same GRIN code on every backend, so results and the
+// kFusedRowsPrunedTotal delta of each fused run must match across them.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/metric_names.h"
+#include "common/metrics.h"
 #include "common/trace.h"
 #include "query/service.h"
 #include "runtime/gaia.h"
 #include "snb/snb.h"
+#include "storage/gart/gart_store.h"
+#include "storage/graphar/graphar.h"
 #include "storage/vineyard/vineyard_store.h"
 
 namespace flex::query {
@@ -153,6 +164,136 @@ TEST_F(ExecParityTest, InteractiveShortQueries) {
 
 TEST_F(ExecParityTest, BiQueries) {
   for (const auto& spec : snb::BiQueries()) CheckParity(spec);
+}
+
+/// One backend of the cross-backend suite: a GRIN view, the service that
+/// compiles against its catalog, and whatever keeps the view alive.
+struct FusionBackend {
+  std::string name;
+  const grin::GrinGraph* graph = nullptr;
+  std::unique_ptr<QueryService> service;
+  std::shared_ptr<void> owner;
+};
+
+class BackendFusionParityTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    snb::SnbConfig config;
+    config.num_persons = 200;
+    config.seed = 17;
+    stats_ = new snb::SnbStats();
+    const PropertyGraphData data = snb::GenerateSnb(config, stats_);
+    backends_ = new std::vector<FusionBackend>();
+    auto add = [](std::string name, const grin::GrinGraph* graph,
+                  std::shared_ptr<void> owner) {
+      backends_->push_back({std::move(name), graph,
+                            std::make_unique<QueryService>(graph, 1),
+                            std::move(owner)});
+    };
+    {
+      std::shared_ptr<storage::VineyardStore> store =
+          std::move(storage::VineyardStore::Build(data).value());
+      std::shared_ptr<grin::GrinGraph> g = store->GetGrinHandle();
+      add("vineyard", g.get(),
+          std::make_shared<std::pair<decltype(store), decltype(g)>>(store, g));
+    }
+    {
+      std::shared_ptr<storage::GartStore> store =
+          std::move(storage::GartStore::Build(data).value());
+      std::shared_ptr<grin::GrinGraph> g = store->GetSnapshot();
+      add("gart", g.get(),
+          std::make_shared<std::pair<decltype(store), decltype(g)>>(store, g));
+    }
+    {
+      const std::string path = testing::TempDir() + "exec_parity.gar";
+      ASSERT_TRUE(storage::graphar::WriteGraphAr(path, data).ok());
+      std::shared_ptr<storage::graphar::GraphArReader> reader =
+          std::move(storage::graphar::GraphArReader::Open(path).value());
+      std::shared_ptr<grin::GrinGraph> g =
+          std::move(reader->OpenDirect().value());
+      add("graphar", g.get(),
+          std::make_shared<std::pair<decltype(reader), decltype(g)>>(reader,
+                                                                     g));
+    }
+  }
+  static void TearDownTestSuite() {
+    delete backends_;
+    delete stats_;
+  }
+
+  static uint64_t PrunedTotal() {
+    return metrics::MetricsRegistry::Instance()
+        .GetCounter(metrics::kFusedRowsPrunedTotal)
+        ->Value();
+  }
+
+  /// Runs `spec` fused and unfused, batched, at 1 and 2 workers on every
+  /// backend. Per backend and worker count the two plans must agree, and
+  /// rows and the fused run's pruned-counter delta must equal Vineyard's.
+  static void CheckBackends(const snb::QuerySpec& spec) {
+    SCOPED_TRACE(spec.name);
+    Rng rng(20240607 + spec.name.size());
+    const std::vector<PropertyValue> params = spec.params(rng, *stats_);
+    // Per worker count: Vineyard's rows and pruned delta.
+    std::map<size_t, std::pair<std::vector<std::string>, uint64_t>> reference;
+    for (const FusionBackend& b : *backends_) {
+      SCOPED_TRACE(b.name);
+      auto fused = b.service->Compile(Language::kCypher, spec.cypher);
+      ASSERT_TRUE(fused.ok()) << fused.status().ToString();
+      auto parsed =
+          ParseQuery(Language::kCypher, spec.cypher, b.graph->schema());
+      ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+      optimizer::OptimizerOptions no_fusion;
+      no_fusion.fusion = false;
+      const ir::Plan unfused =
+          optimizer::Optimize(parsed.value(), &b.service->catalog(),
+                              no_fusion, &b.graph->schema());
+      for (const size_t workers : {size_t{1}, size_t{2}}) {
+        runtime::GaiaEngine engine(b.graph, workers);
+        auto run = [&](const ir::Plan& plan) {
+          auto rows = engine.Run(plan, params, {}, nullptr, nullptr,
+                                 trace::kNoParent,
+                                 runtime::ExecMode::kBatched);
+          EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+          return rows.ok() ? RowsToStrings(rows.value())
+                           : std::vector<std::string>{};
+        };
+        const uint64_t before = PrunedTotal();
+        const std::vector<std::string> fused_rows = run(fused.value());
+        const uint64_t pruned = PrunedTotal() - before;
+        EXPECT_EQ(fused_rows, run(unfused))
+            << "fusion changed result rows at " << workers << " worker(s)";
+        auto [it, first] =
+            reference.try_emplace(workers, fused_rows, pruned);
+        if (first) continue;
+        EXPECT_EQ(fused_rows, it->second.first)
+            << "rows differ from vineyard at " << workers << " worker(s)";
+        EXPECT_EQ(pruned, it->second.second)
+            << "pruned count differs from vineyard at " << workers
+            << " worker(s)";
+      }
+    }
+  }
+
+  static snb::SnbStats* stats_;
+  static std::vector<FusionBackend>* backends_;
+};
+
+snb::SnbStats* BackendFusionParityTest::stats_ = nullptr;
+std::vector<FusionBackend>* BackendFusionParityTest::backends_ = nullptr;
+
+TEST_F(BackendFusionParityTest, InteractiveComplexQueries) {
+  for (const auto& spec : snb::InteractiveComplexQueries()) {
+    CheckBackends(spec);
+  }
+}
+
+TEST_F(BackendFusionParityTest, InteractiveShortQueries) {
+  for (const auto& spec : snb::InteractiveShortQueries()) CheckBackends(spec);
+}
+
+TEST_F(BackendFusionParityTest, BiQueries) {
+  for (const auto& spec : snb::BiQueries()) CheckBackends(spec);
 }
 
 }  // namespace

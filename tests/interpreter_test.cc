@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/random.h"
 #include "grape/message_manager.h"
 #include "optimizer/optimizer.h"
@@ -326,6 +328,111 @@ TEST_F(InterpreterOpTest, WindowedShardingPartitionsScanExactly) {
             << ir::OpKindName(plan->ops[0].kind) << " vectorized="
             << vectorized << " workers=" << workers;
       }
+    }
+  }
+}
+
+/// Forwards every GRIN call to `inner` and counts the vertices that
+/// VisitVertices hands to its visitor.
+class VisitCountingGrin final : public grin::GrinGraph {
+ public:
+  explicit VisitCountingGrin(const grin::GrinGraph* inner) : inner_(inner) {}
+
+  /// Vertices handed to VisitVertices visitors (GRIN visits are const).
+  mutable size_t visited = 0;
+
+  std::string backend_name() const override { return "counting"; }
+  uint32_t capabilities() const override { return inner_->capabilities(); }
+  const GraphSchema& schema() const override { return inner_->schema(); }
+  vid_t NumVertices() const override { return inner_->NumVertices(); }
+  vid_t NumVerticesOfLabel(label_t label) const override {
+    return inner_->NumVerticesOfLabel(label);
+  }
+  label_t VertexLabelOf(vid_t v) const override {
+    return inner_->VertexLabelOf(v);
+  }
+  void VisitVertices(label_t label, grin::VertexPredicate pred,
+                     void* pred_ctx, bool (*visitor)(void*, vid_t),
+                     void* visitor_ctx) const override {
+    struct Ctx {
+      size_t* visited;
+      bool (*visitor)(void*, vid_t);
+      void* visitor_ctx;
+    } ctx{&visited, visitor, visitor_ctx};
+    inner_->VisitVertices(
+        label, pred, pred_ctx,
+        [](void* raw, vid_t v) -> bool {
+          auto* c = static_cast<Ctx*>(raw);
+          ++*c->visited;
+          return c->visitor(c->visitor_ctx, v);
+        },
+        &ctx);
+  }
+  bool VisitAdj(vid_t v, Direction dir, label_t edge_label,
+                grin::AdjVisitor visitor, void* ctx) const override {
+    return inner_->VisitAdj(v, dir, edge_label, visitor, ctx);
+  }
+  size_t Degree(vid_t v, Direction dir, label_t edge_label) const override {
+    return inner_->Degree(v, dir, edge_label);
+  }
+  PropertyValue GetVertexProperty(vid_t v, size_t col) const override {
+    return inner_->GetVertexProperty(v, col);
+  }
+  PropertyValue GetEdgeProperty(label_t edge_label, eid_t e,
+                                size_t col) const override {
+    return inner_->GetEdgeProperty(edge_label, e, col);
+  }
+  Result<vid_t> FindVertex(label_t label, oid_t oid) const override {
+    return inner_->FindVertex(label, oid);
+  }
+  oid_t GetOid(vid_t v) const override { return inner_->GetOid(v); }
+
+ private:
+  const grin::GrinGraph* inner_;
+};
+
+TEST(InterpreterScanWindowTest, ScanStopsAtItsWindow) {
+  // Two labels of 6 vertices each; an unlabeled SCAN walks both (12
+  // positions). A worker owning [begin, end) must stop its visit at
+  // `end` — one look past the window at most, and no later label — in
+  // both execution modes.
+  PropertyGraphData data;
+  for (const char* name : {"A", "B"}) {
+    const label_t label =
+        data.schema.AddVertexLabel(name, {{"x", PropertyType::kInt64}})
+            .value();
+    for (oid_t i = 0; i < 6; ++i) {
+      data.AddVertex(label, i, {PropertyValue(static_cast<int64_t>(i))});
+    }
+  }
+  auto store = storage::VineyardStore::Build(data).value();
+  auto inner = store->GetGrinHandle();
+  PlanBuilder b;
+  b.Scan("a", kInvalidLabel);
+  std::vector<ExprPtr> out;
+  out.push_back(Expr::VertexId(0));
+  b.Project(std::move(out), {"id"});
+  const ir::Plan plan = b.Build();
+  const size_t total = 12;
+  for (const bool vectorized : {false, true}) {
+    for (const size_t workers : {size_t{1}, size_t{3}, size_t{4}}) {
+      size_t rows_seen = 0;
+      for (size_t w = 0; w < workers; ++w) {
+        VisitCountingGrin graph(inner.get());
+        Interpreter interp(&graph);
+        ExecOptions opts;
+        opts.vectorized = vectorized;
+        opts.scan_begin = w * total / workers;
+        opts.scan_end = (w + 1) * total / workers;
+        auto rows = interp.Run(plan, opts);
+        ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+        rows_seen += rows.value().size();
+        EXPECT_EQ(rows.value().size(), opts.scan_end - opts.scan_begin);
+        EXPECT_LE(graph.visited, std::min(total, opts.scan_end + 1))
+            << "vectorized=" << vectorized << " workers=" << workers
+            << " worker=" << w;
+      }
+      EXPECT_EQ(rows_seen, total);
     }
   }
 }

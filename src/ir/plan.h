@@ -95,9 +95,8 @@ struct Plan {
   std::vector<std::string> columns;
   /// Optimizer cost annotation: the largest intermediate row count any
   /// operator is estimated to produce (catalog fan-outs × selectivities),
-  /// or -1 when no catalog was available. Engines consult it to pick an
-  /// execution strategy — columnar scaffolding only amortizes above a
-  /// handful of rows, so tiny pipelines run tuple-at-a-time.
+  /// or -1 when no catalog was available. The interpreter consults it to
+  /// pick row or batched execution (query::Interpreter::WorthBatching).
   double estimated_peak_rows = -1.0;
 
   Plan Clone() const;

@@ -709,10 +709,9 @@ void FusePipelines(Plan* plan, const GraphSchema& schema) {
 /// Annotates the plan with the catalog's estimate of the largest
 /// intermediate row count any operator produces: scans contribute label
 /// cardinalities (1 for oid lookups), expansions multiply by average
-/// fan-out, predicates by the default selectivity. Engines consult the
-/// estimate to pick an execution strategy — columnar batches amortize
-/// their scaffolding over rows, so a pipeline whose every intermediate
-/// stays below a handful of rows runs faster tuple-at-a-time.
+/// fan-out, predicates by the default selectivity. The interpreter
+/// consults the estimate to pick row or batched execution
+/// (query::Interpreter::WorthBatching).
 void EstimatePeakRows(Plan* plan, const Catalog& catalog) {
   // Anything we cannot price (unknown labels) counts as "large": the
   // estimate is only ever used to demote tiny pipelines, so erring big

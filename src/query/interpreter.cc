@@ -394,9 +394,21 @@ bool Interpreter::IsBlocking(const ir::Op& op) {
   }
 }
 
+bool Interpreter::WorthBatching(const ir::Plan& plan) {
+  // Columnar batches amortize their scaffolding (column allocation,
+  // selection vectors, gather) over rows. When the optimizer's estimate
+  // says every intermediate stays below a few rows — point lookups and
+  // their immediate neighborhoods — the tuple-at-a-time path is strictly
+  // cheaper. Results are bit-identical either way; only the strategy
+  // changes.
+  constexpr double kBatchedRowFloor = 8.0;
+  return plan.estimated_peak_rows < 0.0 ||
+         plan.estimated_peak_rows >= kBatchedRowFloor;
+}
+
 Result<std::vector<Row>> Interpreter::Run(const ir::Plan& plan,
                                           const ExecOptions& opts) const {
-  if (!opts.vectorized) {
+  if (!opts.vectorized || !WorthBatching(plan)) {
     return RunRange(plan, 0, plan.ops.size(), {}, opts);
   }
   auto batches = RunRangeBatched(plan, 0, plan.ops.size(), {}, opts);

@@ -25,8 +25,9 @@ struct ExecOptions {
   size_t scan_begin = 0;
   size_t scan_end = static_cast<size_t>(-1);
   /// Columnar execution (~kBatchSize-tuple batches through the streaming
-  /// operators; blocking operators bridge through rows, bit-identically).
-  /// The row-at-a-time path remains as the Exp-2 A/B baseline.
+  /// operators; blocking operators bridge through rows, bit-identically)
+  /// for plans that clear the cost floor (Interpreter::WorthBatching).
+  /// false forces the row-at-a-time path, the Exp-2 A/B baseline.
   bool vectorized = true;
   /// Checked between operators — and, when vectorized, at batch
   /// boundaries inside operators — execution stops with kDeadlineExceeded
@@ -49,9 +50,15 @@ class Interpreter {
  public:
   explicit Interpreter(const grin::GrinGraph* graph) : graph_(graph) {}
 
-  /// Executes the full plan (vectorized by default; see ExecOptions).
+  /// Executes the full plan: batched when `opts.vectorized` is set and
+  /// WorthBatching(plan) holds, row-at-a-time otherwise.
   Result<std::vector<ir::Row>> Run(const ir::Plan& plan,
                                    const ExecOptions& opts = {}) const;
+
+  /// The row-or-batched decision for a vectorized request, shared by both
+  /// engines: batched unless the optimizer estimated the plan below the
+  /// cost floor. Unestimated plans (estimated_peak_rows < 0) run batched.
+  static bool WorthBatching(const ir::Plan& plan);
 
   /// Executes ops [begin, end) of the plan starting from `input` rows,
   /// one row-vector at a time (the legacy scalar path).

@@ -25,10 +25,6 @@ enum class EngineKind { kGaia, kHiActor };
 /// Per-query execution policy for QueryService::Run.
 struct RunOptions {
   EngineKind engine = EngineKind::kGaia;
-  /// Columnar (batch-at-a-time) execution; false selects the legacy
-  /// row-at-a-time path. Results are bit-identical either way (the Exp-2
-  /// A/B switch).
-  bool vectorized = true;
   /// Propagated through the engine into every operator boundary (and, for
   /// analytics, superstep boundary). Infinite by default.
   Deadline deadline;
@@ -113,10 +109,6 @@ class QueryService {
   void SetTenantQuota(const std::string& tenant, int64_t slots) {
     admission_.SetQuota(tenant, slots);
   }
-
-  /// Drops every cached plan. Called internally on RegisterProcedure;
-  /// exposed for catalog-change call sites and tests.
-  void InvalidatePlanCache() { plan_cache_.InvalidateAll(); }
 
   runtime::HiActorEngine& hiactor() { return hiactor_; }
   const runtime::GaiaEngine& gaia() const { return gaia_; }

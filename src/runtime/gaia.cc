@@ -118,17 +118,6 @@ Result<std::vector<ir::Row>> GaiaEngine::Run(
   FLEX_RETURN_NOT_OK(CheckRunnable(deadline, cancel, "gaia"));
   trace::ScopedSpan engine_span(trace, "gaia", "engine", trace_parent);
   query::Interpreter interpreter(graph_);
-  // Cost-based strategy selection: columnar batches amortize their
-  // scaffolding (column allocation, selection vectors, gather) over rows.
-  // When the optimizer's estimate says every intermediate stays below a
-  // few rows — point lookups and their immediate neighborhoods — the
-  // tuple-at-a-time path is strictly cheaper, so a batched request runs
-  // row-wise. Results are bit-identical in either mode by construction;
-  // only the execution strategy changes.
-  constexpr double kBatchedRowFloor = 8.0;
-  const bool vectorized = mode == ExecMode::kBatched &&
-                          (plan.estimated_peak_rows < 0.0 ||
-                           plan.estimated_peak_rows >= kBatchedRowFloor);
 
   // Split at the first blocking (exchange-requiring) operator.
   size_t split = plan.ops.size();
@@ -150,7 +139,7 @@ Result<std::vector<ir::Row>> GaiaEngine::Run(
                          !HasInnerScan(plan, split);
   query::ExecOptions opts;
   opts.params = std::move(params);
-  opts.vectorized = vectorized;
+  opts.vectorized = mode == ExecMode::kBatched;
   opts.deadline = deadline;
   opts.cancel = cancel;
   opts.trace = trace;
@@ -158,12 +147,13 @@ Result<std::vector<ir::Row>> GaiaEngine::Run(
   if (!shardable) return interpreter.Run(plan, opts);
 
   // Both modes share the shard loop and the exchange; they differ only in
-  // running the prefix and the blocking suffix over batches or rows. The
-  // batched suffix stays columnar: GROUP aggregates natively, while ORDER /
-  // LIMIT / DEDUP bridge through rows inside RunRangeBatched,
+  // running the prefix and the blocking suffix over batches or rows, which
+  // the interpreter's cost floor decides exactly as in Interpreter::Run.
+  // The batched suffix stays columnar: GROUP aggregates natively, while
+  // ORDER / LIMIT / DEDUP bridge through rows inside RunRangeBatched,
   // bit-identically to the row suffix.
   const size_t total = ScanTotal(*graph_, plan.ops[0]);
-  if (vectorized) {
+  if (opts.vectorized && query::Interpreter::WorthBatching(plan)) {
     auto merged = RunShardedPrefix<ir::Batch>(
         pool_.get(), num_workers_, total, opts,
         [&](const query::ExecOptions& o) {

@@ -9,9 +9,11 @@
 
 namespace flex::runtime {
 
-/// Execution mode for one GaiaEngine::Run: columnar batches (the default)
-/// or the legacy row-at-a-time path, kept as the Exp-2 A/B baseline. Both
-/// modes return bit-identical rows at any worker count.
+/// Execution mode for one GaiaEngine::Run: columnar batches (the default;
+/// plans below the interpreter's cost floor still run row-wise, see
+/// query::Interpreter::WorthBatching) or the row-at-a-time path forced
+/// throughout, kept as the Exp-2 A/B baseline. Both modes return
+/// bit-identical rows at any worker count.
 enum class ExecMode { kBatched, kRowAtATime };
 
 /// Gaia-like dataflow engine (§5.3): the OLAP path. A physical plan is cut

@@ -162,7 +162,6 @@ bool HiActorEngine::TryRunOne(size_t home_shard) {
                                    "engine", task.query.trace_parent);
     query::ExecOptions opts;
     opts.params = std::move(task.query.params);
-    opts.vectorized = task.query.vectorized;
     opts.deadline = task.query.deadline;
     opts.cancel = task.query.cancel;
     opts.trace = task.query.trace;

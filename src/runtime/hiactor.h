@@ -25,9 +25,6 @@ struct QueryTask {
   /// Overrides the engine's default graph (e.g. a fresh GART snapshot);
   /// the shared_ptr keeps the snapshot alive until the task completes.
   std::shared_ptr<const grin::GrinGraph> graph;
-  /// Columnar execution (see ExecOptions::vectorized); false selects the
-  /// row-at-a-time baseline. Results are bit-identical either way.
-  bool vectorized = true;
   /// Checked at submission, again at dispatch, and between operators while
   /// the task runs. An already-expired deadline is rejected at Submit.
   Deadline deadline;

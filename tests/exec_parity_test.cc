@@ -8,7 +8,11 @@
 // fusion disabled, and the two plans must agree row-for-row across every
 // (worker, mode) combination: fusion is a plan-shape change only. Span
 // shapes are compared within one plan (a fused plan legitimately records
-// op.fused_* marker spans the unfused plan does not).
+// op.fused_* marker spans the unfused plan does not). A forced-batched arm
+// runs each plan through Interpreter::RunRangeBatched end to end: the
+// engines run plans below the interpreter's cost floor row-wise, so
+// without it the batched forms of point-read operators (index scans
+// above all) would escape the oracle.
 //
 // A second suite replays the fused and unfused plans, batched at 1 and 2
 // workers, on GART and GraphAr next to Vineyard: pushed-down filters run
@@ -118,6 +122,19 @@ class ExecParityTest : public ::testing::Test {
     }
   }
 
+  /// Runs the whole plan batched on one thread, bypassing the cost floor.
+  static std::vector<std::string> RunForcedBatched(
+      const ir::Plan& plan, const std::vector<PropertyValue>& params) {
+    Interpreter interpreter(graph_);
+    ExecOptions opts;
+    opts.params = params;
+    auto batches =
+        interpreter.RunRangeBatched(plan, 0, plan.ops.size(), {}, opts);
+    EXPECT_TRUE(batches.ok()) << batches.status().ToString();
+    if (!batches.ok()) return {};
+    return RowsToStrings(ir::BatchesToRows(batches.value()));
+  }
+
   /// Compiles `spec` with fusion on (the service default) and off, runs
   /// both plans through every combination, and asserts the two plans agree
   /// row-for-row: pushdown must never change results.
@@ -141,6 +158,10 @@ class ExecParityTest : public ::testing::Test {
     std::vector<std::string> unfused_rows;
     RunPlanAllModes(unfused, params, spec.name, &unfused_rows);
     EXPECT_EQ(fused_rows, unfused_rows) << "fusion changed result rows";
+    EXPECT_EQ(RunForcedBatched(fused.value(), params), fused_rows)
+        << "forced-batched fused plan diverges from row";
+    EXPECT_EQ(RunForcedBatched(unfused, params), unfused_rows)
+        << "forced-batched unfused plan diverges from row";
   }
 
   static snb::SnbStats* stats_;

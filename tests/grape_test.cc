@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
-#include <limits>
 #include <numeric>
 #include <set>
 #include <queue>
@@ -18,7 +17,6 @@
 #include "grape/apps/pagerank.h"
 #include "grape/apps/traversal.h"
 #include "grape/flash.h"
-#include "grape/ingress.h"
 #include "grape/message_manager.h"
 #include "grape/pregel.h"
 
@@ -586,72 +584,6 @@ TEST(FlashTest, LouvainImprovesModularityOnRandomGraph) {
   std::vector<uint32_t> singletons(300);
   for (vid_t v = 0; v < 300; ++v) singletons[v] = v;
   EXPECT_GE(engine.Modularity(communities), engine.Modularity(singletons));
-}
-
-// -------------------------------------------------------------- Ingress
-
-TEST(IngressTest, IncrementalSsspMatchesFullRecompute) {
-  EdgeList g = TestGraph();
-  // Hold back 5% of edges as the update stream.
-  const size_t keep = g.num_edges() * 95 / 100;
-  std::vector<RawEdge> updates(g.edges.begin() + keep, g.edges.end());
-  EdgeList initial = g;
-  initial.edges.resize(keep);
-
-  IngressSssp incremental(initial, 0);
-  const size_t full_work = incremental.last_relaxations();
-  for (size_t begin = 0; begin < updates.size(); begin += 100) {
-    const size_t end = std::min(updates.size(), begin + 100);
-    incremental.AddEdges(
-        std::vector<RawEdge>(updates.begin() + begin, updates.begin() + end));
-    // Memoization pays: each batch touches far less than the full run.
-    EXPECT_LT(incremental.last_relaxations(), full_work);
-  }
-  auto want = ReferenceSssp(g, 0);
-  const auto& got = incremental.distances();
-  for (vid_t v = 0; v < g.num_vertices; ++v) {
-    if (want[v] == kUnreachedDist) {
-      EXPECT_EQ(got[v], std::numeric_limits<double>::max());
-    } else {
-      EXPECT_NEAR(got[v], want[v], 1e-9) << v;
-    }
-  }
-}
-
-TEST(IngressTest, IncrementalWccMergesComponents) {
-  // Two chains; an inserted bridge merges their components incrementally.
-  EdgeList g;
-  g.num_vertices = 10;
-  for (vid_t v = 0; v < 4; ++v) g.edges.push_back({v, v + 1, 1.0});
-  for (vid_t v = 5; v < 9; ++v) g.edges.push_back({v, v + 1, 1.0});
-  IngressWcc wcc(g);
-  EXPECT_EQ(wcc.labels()[0], 0u);
-  EXPECT_EQ(wcc.labels()[9], 5u);
-
-  const size_t changed = wcc.AddEdges({{4, 5, 1.0}});
-  EXPECT_EQ(changed, 5u);  // The whole second chain relabels.
-  for (vid_t v = 0; v < 10; ++v) EXPECT_EQ(wcc.labels()[v], 0u) << v;
-}
-
-TEST(IngressTest, IncrementalWccMatchesUnionFind) {
-  EdgeList g = TestGraph();
-  const size_t keep = g.num_edges() / 2;
-  std::vector<RawEdge> updates(g.edges.begin() + keep, g.edges.end());
-  EdgeList initial = g;
-  initial.edges.resize(keep);
-  IngressWcc wcc(initial);
-  wcc.AddEdges(updates);
-  EXPECT_EQ(wcc.labels(), ReferenceWcc(g));
-}
-
-TEST(IngressTest, NoopBatchTouchesNothing) {
-  EdgeList g;
-  g.num_vertices = 3;
-  g.edges = {{0, 1, 1.0}};
-  IngressSssp sssp(g, 0);
-  // Re-inserting a parallel edge with a worse weight changes nothing.
-  EXPECT_EQ(sssp.AddEdges({{0, 1, 5.0}}), 0u);
-  EXPECT_EQ(sssp.last_relaxations(), 0u);
 }
 
 // ------------------------------------------- Flush determinism (zero-copy)

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/metric_names.h"
+#include "common/metrics.h"
 #include "common/random.h"
 #include "grape/message_manager.h"
 #include "optimizer/optimizer.h"
@@ -155,7 +157,15 @@ TEST_F(InterpreterOpTest, RowAndBatchedPathsAgree) {
     ExecOptions row_opts;
     row_opts.vectorized = false;
     auto row = interp.Run(plan, row_opts);
-    auto batched = interp.Run(plan);  // Vectorized is the default.
+    metrics::Counter* batches = metrics::MetricsRegistry::Instance().GetCounter(
+        metrics::kQueryBatchesTotal);
+    [[maybe_unused]] const uint64_t batches_before = batches->Value();
+    // Vectorized is the default; the plan is unestimated, so it clears the
+    // cost floor and must really run batched.
+    auto batched = interp.Run(plan);
+#ifndef FLEX_METRICS_DISABLED
+    EXPECT_GT(batches->Value(), batches_before) << "batched arm ran row-wise";
+#endif
     ASSERT_TRUE(row.ok()) << row.status().ToString();
     ASSERT_TRUE(batched.ok()) << batched.status().ToString();
     EXPECT_EQ(RowsToStrings(row.value()), RowsToStrings(batched.value()));

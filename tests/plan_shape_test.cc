@@ -31,6 +31,20 @@ std::string ShapeOf(const ir::Plan& plan) {
   return shape;
 }
 
+/// Runs the whole plan row-at-a-time or batched. The batched arm calls
+/// RunRangeBatched directly: Interpreter::Run would demote a plan the
+/// optimizer estimates below the cost floor and compare rows with rows.
+Result<std::vector<ir::Row>> RunInMode(const Interpreter& interpreter,
+                                       const ir::Plan& plan, bool batched) {
+  if (!batched) {
+    return interpreter.RunRange(plan, 0, plan.ops.size(), {}, ExecOptions{});
+  }
+  auto batches = interpreter.RunRangeBatched(plan, 0, plan.ops.size(), {},
+                                             ExecOptions{});
+  FLEX_RETURN_NOT_OK(batches.status());
+  return ir::BatchesToRows(batches.value());
+}
+
 class PlanShapeTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -221,10 +235,8 @@ TEST_F(PlanShapeTest, FusedScanFoldsProjection) {
   const ir::Plan& fused_plan = fused.value();
   std::vector<std::string> reference;
   for (const ir::Plan* plan : {&fused_plan, &unfused}) {
-    for (bool vectorized : {false, true}) {
-      ExecOptions opts;
-      opts.vectorized = vectorized;
-      auto rows = interpreter.Run(*plan, opts);
+    for (bool batched : {false, true}) {
+      auto rows = RunInMode(interpreter, *plan, batched);
       ASSERT_TRUE(rows.ok()) << rows.status().ToString();
       auto rendered = RowsToStrings(rows.value());
       EXPECT_FALSE(rendered.empty());
@@ -267,10 +279,8 @@ TEST_F(PlanShapeTest, FusedExpandFoldsProjection) {
     const ir::Plan& fused_plan = fused.value();
     std::vector<std::string> reference;
     for (const ir::Plan* plan : {&fused_plan, &unfused}) {
-      for (bool vectorized : {false, true}) {
-        ExecOptions opts;
-        opts.vectorized = vectorized;
-        auto rows = interpreter.Run(*plan, opts);
+      for (bool batched : {false, true}) {
+        auto rows = RunInMode(interpreter, *plan, batched);
         ASSERT_TRUE(rows.ok()) << rows.status().ToString();
         auto rendered = RowsToStrings(rows.value());
         EXPECT_FALSE(rendered.empty());

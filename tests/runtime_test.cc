@@ -2,12 +2,15 @@
 
 #include <future>
 
+#include "common/metric_names.h"
+#include "common/metrics.h"
 #include "common/random.h"
 #include "grape/compat.h"
 #include "lang/cypher.h"
 #include "query/service.h"
 #include "runtime/gaia.h"
 #include "runtime/hiactor.h"
+#include "snb/snb.h"
 #include "storage/simple.h"
 #include "storage/vineyard/vineyard_store.h"
 
@@ -153,6 +156,85 @@ TEST_F(RuntimeTest, HiActorDrainsQueueOnShutdown) {
   }
   for (auto& f : futures) EXPECT_TRUE(f.get().ok());  // No broken promises.
 }
+
+// ------------------------------------------------- Row-or-batched choice
+
+#ifndef FLEX_METRICS_DISABLED
+uint64_t BatchesTotal() {
+  return metrics::MetricsRegistry::Instance()
+      .GetCounter(metrics::kQueryBatchesTotal)
+      ->Value();
+}
+
+TEST(EngineStrategyTest, BothEnginesRunSubFloorPlansRowWise) {
+  // The row-or-batched decision belongs to the interpreter, so both engines
+  // make it alike: an id-pinned short read (S1, one person by id) is
+  // estimated below the batching floor and runs tuple-at-a-time, emitting
+  // no columnar batch on HiActor or on Gaia, while a complex read (C2)
+  // estimated above it runs batched on both.
+  snb::SnbConfig config;
+  config.num_persons = 200;
+  config.seed = 17;
+  snb::SnbStats stats;
+  const PropertyGraphData data = snb::GenerateSnb(config, &stats);
+  auto store = storage::VineyardStore::Build(data).value();
+  auto graph = store->GetGrinHandle();
+  query::QueryService service(graph.get(), 2);
+
+  auto spec_named = [](const std::vector<snb::QuerySpec>& specs,
+                       const std::string& name) {
+    for (const auto& spec : specs) {
+      if (spec.name == name) return spec;
+    }
+    ADD_FAILURE() << "no SNB query " << name;
+    return snb::QuerySpec{};
+  };
+  const struct {
+    snb::QuerySpec spec;
+    bool batched;
+  } cases[] = {
+      {spec_named(snb::InteractiveShortQueries(), "S1"), false},
+      {spec_named(snb::InteractiveComplexQueries(), "C2"), true},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.spec.name);
+    auto compiled = service.Compile(query::Language::kCypher, c.spec.cypher);
+    ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+    const auto plan =
+        std::make_shared<const ir::Plan>(std::move(compiled).value());
+    ASSERT_FALSE(plan->ops.empty());
+    if (!c.batched) {
+      EXPECT_NE(plan->ops[0].id_lookup, nullptr);
+    }
+    Rng rng(20240607);
+    const std::vector<PropertyValue> params = c.spec.params(rng, stats);
+
+    uint64_t before = BatchesTotal();
+    QueryTask task;
+    task.plan = plan;
+    task.params = params;
+    auto hiactor_rows = service.hiactor().Execute(std::move(task));
+    ASSERT_TRUE(hiactor_rows.ok()) << hiactor_rows.status().ToString();
+    const uint64_t hiactor_batches = BatchesTotal() - before;
+
+    before = BatchesTotal();
+    auto gaia_rows = service.gaia().Run(*plan, params);
+    ASSERT_TRUE(gaia_rows.ok()) << gaia_rows.status().ToString();
+    const uint64_t gaia_batches = BatchesTotal() - before;
+
+    EXPECT_EQ(query::RowsToStrings(hiactor_rows.value()),
+              query::RowsToStrings(gaia_rows.value()));
+    if (c.batched) {
+      EXPECT_GT(hiactor_batches, 0u) << "HiActor ran an above-floor plan "
+                                        "row-wise";
+      EXPECT_GT(gaia_batches, 0u) << "Gaia ran an above-floor plan row-wise";
+    } else {
+      EXPECT_EQ(hiactor_batches, 0u) << "HiActor ran a sub-floor plan batched";
+      EXPECT_EQ(gaia_batches, 0u) << "Gaia ran a sub-floor plan batched";
+    }
+  }
+}
+#endif  // FLEX_METRICS_DISABLED
 
 // ---------------------------------------------------------- Compatibility
 

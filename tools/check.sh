@@ -68,7 +68,9 @@
 #   tools/check.sh serving    # multi-seed serving suite under both sanitizers
 #   tools/check.sh crash      # multi-seed crash-recovery suite under ASan+UBSan
 #   tools/check.sh coverage   # gcov line coverage + floor on src/common/
-#   tools/check.sh bench      # perf ratchet vs BENCH_exp3_analytics.json
+#   tools/check.sh bench      # perf ratchets: Exp-3 vs BENCH_exp3_analytics.json,
+#                             # Exp-2 row-vs-batched A/B (1.4x floor) vs
+#                             # BENCH_exp2_snb.json, serving vs BENCH_serving.json
 #   tools/check.sh static     # flexlint + flexcheck over the tree
 #   tools/check.sh tidy       # clang-tidy over src/common/ + src/runtime/
 set -euo pipefail
@@ -78,8 +80,17 @@ SUPP="$ROOT/tools/sanitizers"
 JOBS="$(nproc)"
 MODES="${1:-all}"
 
+# The FLEX_SANITIZE value of sanitizer tree build-<name> (asan | tsan).
+sanitize_of() {
+  case "$1" in
+    asan) echo "address,undefined" ;;
+    tsan) echo "thread" ;;
+  esac
+}
+
 run_pass() {
-  local name="$1" sanitize="$2" builddir="$ROOT/build-$1"
+  local name="$1" sanitize builddir="$ROOT/build-$1"
+  sanitize="$(sanitize_of "$name")"
   echo "=== $name: FLEX_SANITIZE=$sanitize -> $builddir ==="
   cmake -B "$builddir" -S "$ROOT" -DFLEX_SANITIZE="$sanitize" \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
@@ -177,54 +188,46 @@ run_tidy() {
     xargs -0 -n 1 -P "$JOBS" clang-tidy -p "$builddir" --quiet
 }
 
-run_chaos() {
-  local name="$1" sanitize="$2" builddir="$ROOT/build-$1"
-  echo "=== chaos($name): FLEX_SANITIZE=$sanitize, seeds ${CHAOS_SEEDS[*]} ==="
+# Configures sanitizer tree build-<tree>, builds one test target and runs
+# it once per chaos seed (FLEX_CHAOS_SEED). The test runs from the
+# caller's working directory, or from <subdir> of the tree when given.
+# Usage: run_seeded <pass> <tree> <target> [<subdir>]
+run_seeded() {
+  local pass="$1" name="$2" target="$3" sanitize seed rundir
+  local builddir="$ROOT/build-$name"
+  sanitize="$(sanitize_of "$name")"
+  rundir="${4:+$builddir/$4}"
+  rundir="${rundir:-$PWD}"
+  echo "=== $pass($name): FLEX_SANITIZE=$sanitize, seeds ${CHAOS_SEEDS[*]} ==="
   cmake -B "$builddir" -S "$ROOT" -DFLEX_SANITIZE="$sanitize" \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
-  cmake --build "$builddir" -j "$JOBS" --target chaos_test
+  cmake --build "$builddir" -j "$JOBS" --target "$target"
   for seed in "${CHAOS_SEEDS[@]}"; do
-    echo "--- chaos($name) seed=$seed ---"
-    FLEX_CHAOS_SEED="$seed" "$builddir/tests/chaos_test"
+    echo "--- $pass($name) seed=$seed ---"
+    (cd "$rundir" && FLEX_CHAOS_SEED="$seed" "$builddir/tests/$target")
   done
 }
 
+# Chaos harness under both sanitizers.
+run_chaos() {
+  run_seeded chaos asan chaos_test
+  run_seeded chaos tsan chaos_test
+}
+
+# Concurrent-serving suite under both sanitizers: serving_test's workload
+# mix is drawn from FLEX_CHAOS_SEED, so each seed exercises a different
+# interleaving of clients, plan-cache traffic, and quota contention. TSan
+# is the pass that matters most here — the admission CAS loop and the
+# sharded LRU are lock-order- and race-audited by it.
 run_serving() {
-  # Concurrent-serving suite under both sanitizers, across the chaos
-  # seeds: serving_test's workload mix is drawn from FLEX_CHAOS_SEED, so
-  # each seed exercises a different interleaving of clients, plan-cache
-  # traffic, and quota contention. TSan is the pass that matters most
-  # here — the admission CAS loop and the sharded LRU are lock-order- and
-  # race-audited by it.
-  local name sanitize builddir seed
-  for name in asan tsan; do
-    case "$name" in
-      asan) sanitize="address,undefined" ;;
-      tsan) sanitize="thread" ;;
-    esac
-    builddir="$ROOT/build-$name"
-    echo "=== serving($name): FLEX_SANITIZE=$sanitize, seeds ${CHAOS_SEEDS[*]} ==="
-    cmake -B "$builddir" -S "$ROOT" -DFLEX_SANITIZE="$sanitize" \
-          -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
-    cmake --build "$builddir" -j "$JOBS" --target serving_test
-    for seed in "${CHAOS_SEEDS[@]}"; do
-      echo "--- serving($name) seed=$seed ---"
-      FLEX_CHAOS_SEED="$seed" "$builddir/tests/serving_test"
-    done
-  done
+  run_seeded serving asan serving_test
+  run_seeded serving tsan serving_test
 }
 
+# Crash recovery under ASan+UBSan. The test writes its WAL files at
+# relative paths, so it runs from the tree's tests/ directory.
 run_crash() {
-  local builddir="$ROOT/build-asan"
-  echo "=== crash: ASan+UBSan crash recovery, seeds ${CHAOS_SEEDS[*]} ==="
-  cmake -B "$builddir" -S "$ROOT" -DFLEX_SANITIZE="address,undefined" \
-        -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
-  cmake --build "$builddir" -j "$JOBS" --target crash_recovery_test
-  for seed in "${CHAOS_SEEDS[@]}"; do
-    echo "--- crash seed=$seed ---"
-    (cd "$builddir/tests" &&
-     FLEX_CHAOS_SEED="$seed" ./crash_recovery_test)
-  done
+  run_seeded crash asan crash_recovery_test tests
 }
 
 export ASAN_OPTIONS="halt_on_error=1:detect_leaks=1:suppressions=$SUPP/asan.supp"
@@ -233,12 +236,9 @@ export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1:suppressions=$SUPP/ubsa
 export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1:suppressions=$SUPP/tsan.supp"
 
 case "$MODES" in
-  asan) run_pass asan address,undefined ;;
-  tsan) run_pass tsan thread ;;
-  chaos)
-    run_chaos asan address,undefined
-    run_chaos tsan thread
-    ;;
+  asan) run_pass asan ;;
+  tsan) run_pass tsan ;;
+  chaos) run_chaos ;;
   serving) run_serving ;;
   crash) run_crash ;;
   coverage) run_coverage ;;
@@ -249,10 +249,9 @@ case "$MODES" in
     # Static analysis first: it is the cheapest pass and fails fastest.
     run_static
     run_tidy
-    run_pass asan address,undefined
-    run_pass tsan thread
-    run_chaos asan address,undefined
-    run_chaos tsan thread
+    run_pass asan
+    run_pass tsan
+    run_chaos
     run_serving
     run_crash
     run_coverage
